@@ -243,11 +243,12 @@ class FPContext:
 
         Bit-identical to ``add(y, mul(a, x))`` (FP addition commutes);
         the census-free path runs one fused kernel instead of two ops.
-        Census and fault-injection runs fall back to the two-op sequence
-        so op counters, memo operand order, and corruption points are
-        exactly what the unfused code produced.
+        Wherever :meth:`fast_kernel` is ``None`` (census and
+        fault-injection runs) it falls back to the two-op sequence so op
+        counters, memo operand order, and corruption points are exactly
+        what the unfused code produced.
         """
-        if self.census or self.injector is not None:
+        if self.fast_kernel() is None:
             return self.add(y, self.mul(a, x))
         precision = self.precision
         if precision == FULL_PRECISION:

@@ -18,7 +18,7 @@ through unmodified.  Reduction keeps ``precision`` mantissa bits,
 from __future__ import annotations
 
 import enum
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -247,15 +247,21 @@ def reduce_array_fast(
 # bit-identical results.
 # ----------------------------------------------------------------------
 def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
-                         params) -> None:
+                         params, scratch: Optional[np.ndarray] = None
+                         ) -> None:
     """Mantissa-reduce a uint32 bit array in place (no special-value
-    guard, like :func:`reduce_array_fast`)."""
+    guard, like :func:`reduce_array_fast`).
+
+    ``scratch``, a uint32 array shaped like ``bits``, receives the one
+    temporary the nearest and jamming modes need; without it that
+    temporary is allocated.
+    """
     keep_mask = params[0]
     if mode is RoundingMode.TRUNCATION:
         np.bitwise_and(bits, keep_mask, out=bits)
     elif mode is RoundingMode.NEAREST:
         half_minus_1 = params[5]
-        tmp = np.right_shift(bits, params[1])
+        tmp = np.right_shift(bits, params[1], out=scratch)
         np.bitwise_and(tmp, np.uint32(1), out=tmp)
         np.add(tmp, half_minus_1, out=tmp)
         np.add(bits, tmp, out=bits)
@@ -266,7 +272,7 @@ def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
             # (guards + (lsb_bit - 1)) & lsb_bit == lsb_bit iff any guard
             # bit is set: the guard field is strictly below lsb_bit, so
             # the add carries into the lsb position exactly when nonzero.
-            guards = np.bitwise_and(bits, params[6])
+            guards = np.bitwise_and(bits, params[6], out=scratch)
             np.add(guards, params[7], out=guards)
             np.bitwise_and(guards, lsb_bit, out=guards)
             np.bitwise_and(bits, keep_mask, out=bits)
@@ -317,6 +323,17 @@ class ReducedKernel:
             _reduce_bits_inplace(arr.reshape(-1).view(np.uint32),
                                  self.mode, self._params)
         return arr
+
+    def reduce_bits_(self, bits: np.ndarray,
+                     scratch: Optional[np.ndarray] = None) -> None:
+        """Round the uint32 view of a float32 array in place.
+
+        The rounding :meth:`reduce_` applies, for hot loops that build
+        the views of their fixed buffers once; ``scratch`` (uint32,
+        shaped like ``bits``) takes the rounding's temporary.
+        """
+        if not self.full:
+            _reduce_bits_inplace(bits, self.mode, self._params, scratch)
 
     def enter(self, values) -> np.ndarray:
         """Reduced, contiguous float32 copy of ``values``."""

@@ -221,7 +221,7 @@ def _contact_rows(ctx, bodies, contacts, dt, params):
 
 def _joint_rows(ctx, bodies, joints, dt, params):
     """Three equality rows per ball joint; five per hinge."""
-    if ctx.census or ctx.injector is not None:
+    if ctx.fast_kernel() is None:
         return _joint_rows_ref(ctx, bodies, joints, dt, params)
     return _joint_rows_fast(ctx, bodies, joints, dt, params)
 
@@ -595,6 +595,90 @@ def _solve_jacobi_ref(ctx, vel, rows, params, pinned):
     rows.lam = lam
 
 
+class _WavePlan:
+    """The impulse scatter of one reduced-domain Jacobi solve.
+
+    Every body receives its impulses in the order :class:`_Scatter`
+    applies them -- row order, all ``ia`` sides before all ``ib`` sides
+    -- so no bit changes, but each wave becomes a few contiguous slices:
+
+    * incidences on ``pinned`` slots are dropped: those velocities are
+      zeroed after every iteration, before anything reads them;
+    * the remaining bodies sit in :attr:`vel` by descending degree, so
+      wave ``k`` (the k-th impulse of every body that has one) is the
+      prefix ``vel[:n_k]`` plus one block of the wave-ordered increment
+      buffer;
+    * each wave's float32 and uint32 views are built once, so a wave
+      costs one add plus the in-place rounding.
+
+    :attr:`vel` holds the reduced velocities of the dynamic bodies, then
+    of the pinned slots the rows touch (read by the first gather only).
+    """
+
+    def __init__(self, kern, rows: ConstraintRows, vel: np.ndarray,
+                 pinned: np.ndarray) -> None:
+        self.kern = kern
+        n_rows = len(rows)
+        is_pinned = np.zeros(vel.shape[0], dtype=bool)
+        is_pinned[pinned] = True
+        inc_body = np.concatenate([rows.ia, rows.ib]).astype(np.int64)
+        # Incidence i is side i // R of row i % R, which the (2R, 6) view
+        # of the (R, 12) per-row increments holds at 2 * (i % R) + i // R.
+        inc_src = np.concatenate([np.arange(0, 2 * n_rows, 2),
+                                  np.arange(1, 2 * n_rows, 2)])
+        live = ~is_pinned[inc_body]
+        order = np.argsort(inc_body[live], kind="stable")
+        body = inc_body[live][order]
+        src = inc_src[live][order]
+        dyn, first, degree = np.unique(body, return_index=True,
+                                       return_counts=True)
+        by_degree = np.argsort(-degree, kind="stable")
+        self.dynamic = dyn[by_degree]
+        slots = np.concatenate([self.dynamic, np.unique(inc_body[~live])])
+        compact = np.zeros(vel.shape[0], dtype=np.int64)
+        compact[slots] = np.arange(len(slots))
+
+        # Wave k holds the bodies of degree > k: a prefix of the order.
+        n_dyn = len(self.dynamic)
+        degree_hist = np.bincount(degree, minlength=1)
+        sizes = n_dyn - np.cumsum(degree_hist)[:-1]
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        rank = np.arange(len(body)) - np.repeat(first, degree)
+        self._src = np.empty(len(body), dtype=np.int64)
+        self._src[starts[rank] + compact[body]] = src
+        self._gather = np.empty(2 * n_rows, dtype=np.int64)
+        self._gather[0::2] = compact[rows.ia]
+        self._gather[1::2] = compact[rows.ib]
+
+        self.vel = kern.enter(vel[slots])
+        self._pinned_tail = self.vel[n_dyn:]
+        self._inc = np.empty((len(body), 6), dtype=np.float32)
+        scratch = np.empty(6 * n_dyn, dtype=np.uint32)
+        self._waves = []
+        for k, size in enumerate(sizes):
+            prefix = self.vel[:size]
+            self._waves.append((prefix, prefix.reshape(-1).view(np.uint32),
+                                self._inc[starts[k]:starts[k + 1]],
+                                scratch[:6 * size]))
+
+    def gather(self, out: np.ndarray) -> None:
+        """``out[r] = [vel[ia[r]] | vel[ib[r]]]`` for an ``(R, 12)`` out."""
+        # Every index is in range; mode="clip" only skips the buffered
+        # copy numpy's default mode makes when given ``out``.
+        np.take(self.vel, self._gather, axis=0, out=out.reshape(-1, 6),
+                mode="clip")
+
+    def scatter(self, dvw: np.ndarray) -> None:
+        """Apply one iteration's ``(R, 12)`` reduced per-row increments."""
+        np.take(dvw.reshape(-1, 6), self._src, axis=0, out=self._inc,
+                mode="clip")  # in range, as in gather()
+        reduce_bits_ = self.kern.reduce_bits_
+        for prefix, bits, inc, scratch in self._waves:
+            np.add(prefix, inc, out=prefix)
+            reduce_bits_(bits, scratch)
+        self._pinned_tail[:] = 0.0
+
+
 def _solve_jacobi_fast(kern, vel, rows, params, pinned):
     """Census-free Jacobi sweep executed in the reduced domain.
 
@@ -602,21 +686,19 @@ def _solve_jacobi_fast(kern, vel, rows, params, pinned):
     rounded afterwards: rounding is idempotent in all three modes, so
     ``round(op(round(a), round(b)))`` equals the fused round-a/round-b/
     op/round-result kernel bit for bit while running ~6 ufuncs per op
-    instead of ~16 (and no per-op context dispatch).  Two arrays keep a
-    raw master beside the reduced shadow because their legacy values can
-    leave the reduced domain: ``lam`` (``np.clip`` against unreduced
-    bounds like ``_BIG``) and ``vel`` (slots no row touches keep their
-    incoming raw velocities).
+    instead of ~16 (and no per-op context dispatch).  ``lam`` keeps a
+    raw master beside the reduced shadow because its legacy values can
+    leave the reduced domain (``np.clip`` against unreduced bounds like
+    ``_BIG``); the velocities live in the :class:`_WavePlan`, and slots
+    no row touches keep their incoming raw values.
     """
-    n_slots = vel.shape[0]
-    scatter = _Scatter(rows, n_slots)
+    plan = _WavePlan(kern, rows, vel, pinned)
     jac = kern.enter(rows.jacobian)
     imjt = kern.enter(rows.inv_mass_jt)
     rhs = kern.enter(rows.rhs)
     # ctx.div does not round its result, so inv_d arrives raw; enter it
     # once (the operand reduction every downstream op applied to it).
     neg_inv_d = kern.enter(-rows.inv_d)
-    ia, ib = rows.ia, rows.ib
 
     friction_idx = np.nonzero(rows.normal_index >= 0)[0]
     friction_normals = rows.normal_index[friction_idx]
@@ -626,10 +708,8 @@ def _solve_jacobi_fast(kern, vel, rows, params, pinned):
     hi = rows.hi.copy()
     lam = rows.lam            # raw master (post-clip values)
     lamr = kern.enter(lam)    # reduced shadow (what ops actually read)
-    velr = kern.enter(vel)    # reduced shadow of the velocities
 
     r_count = len(rows)
-    order = scatter.order
     gath = np.empty((r_count, 12), dtype=np.float32)
     prod = np.empty((r_count, 12), dtype=np.float32)
     t6 = np.empty((r_count, 6), dtype=np.float32)
@@ -637,12 +717,9 @@ def _solve_jacobi_fast(kern, vel, rows, params, pinned):
     t2 = np.empty(r_count, dtype=np.float32)
     acc = np.empty(r_count, dtype=np.float32)
     dvw = np.empty((r_count, 12), dtype=np.float32)
-    inc = np.empty((2 * r_count, 6), dtype=np.float32)
-    inc_sorted = np.empty_like(inc)
 
     for _ in range(params.iterations):
-        gath[:, :6] = velr[ia]
-        gath[:, 6:] = velr[ib]
+        plan.gather(gath)
         # J . v: elementwise multiply + the same pairwise reduction tree
         # _tree_sum walks for width 12 (6, 3, then cols 0+1, then +2).
         np.multiply(jac, gath, out=prod)
@@ -676,20 +753,10 @@ def _solve_jacobi_fast(kern, vel, rows, params, pinned):
 
         np.multiply(imjt, delta[:, None], out=dvw)
         kern.reduce_(dvw)
-        inc[:r_count] = dvw[:, :6]
-        inc[r_count:] = dvw[:, 6:]
-        np.take(inc, order, axis=0, out=inc_sorted)
-        for body_idx, inc_pos in scatter.waves:
-            chunk = velr[body_idx]
-            np.add(chunk, inc_sorted[inc_pos], out=chunk)
-            kern.reduce_(chunk)
-            velr[body_idx] = chunk
-        velr[pinned] = 0.0
+        plan.scatter(dvw)
 
     rows.lam = lam
-    if scatter.waves:
-        touched = scatter.waves[0][0]
-        vel[touched] = velr[touched]
+    vel[plan.dynamic] = plan.vel[:len(plan.dynamic)]
     vel[pinned] = 0.0
 
 

@@ -137,7 +137,7 @@ def generate_contacts(
             for i, j in bucket:
                 _sphere_box(ctx, acc, geoms[j], geoms[i], pos, rot)
         elif key == ("box", "box"):
-            if ctx.census or ctx.injector is not None:
+            if ctx.fast_kernel() is None:
                 for i, j in bucket:
                     _box_box(ctx, acc, geoms[i], geoms[j], pos, rot)
             else:
@@ -226,7 +226,7 @@ def _box_corners(ctx, geom, pos, rot) -> np.ndarray:
 
 
 def _box_plane(ctx, acc, geoms, bucket, pos, rot, world) -> None:
-    if ctx.census or ctx.injector is not None:
+    if ctx.fast_kernel() is None:
         for i, j in bucket:  # canonical order gives (box, plane)
             box, plane = geoms[i], geoms[j]
             corners = _box_corners(ctx, box, pos, rot)
@@ -385,9 +385,11 @@ def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
     tested together; degenerate edge crosses keep their lane (masked out
     of the decisions) so the stacked arrays stay rectangular.  Each lane
     runs the exact elementwise ops the per-pair path ran, so surviving
-    pairs see identical axes/overlaps; face clipping and edge contacts
-    then run per surviving pair as before (census-free only — the
-    per-pair path remains for census and fault-injection runs).
+    pairs see identical axes/overlaps.  Face clipping and edge contacts
+    then run stacked over the surviving pairs
+    (:func:`_clip_incident_faces`, :func:`_edge_midpoints`), and the
+    contacts are emitted pair by pair in bucket order, as the per-pair
+    path (the op-for-op reference) emits them.
     """
     n_pairs = len(bucket)
     body_a = np.array([geoms[i].body for i, _ in bucket], dtype=np.int64)
@@ -425,6 +427,9 @@ def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
     has_edge = good.any(axis=1)
     best_edge = 6 + np.argmin(masked[:, 6:], axis=1)
 
+    # Per surviving pair, in bucket order: (box_a, box_b, normal,
+    # edge depth or None for a face contact, index into edges/faces).
+    emits, edges, faces = [], [], []
     for k in range(n_pairs):
         if separated[k]:
             continue
@@ -435,30 +440,40 @@ def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
             be = int(best_edge[k])
             if overlap[k, be] < 0.95 * overlap[k, best_index]:
                 best_index = be
-        best_depth = float(overlap[k, best_index])
         best_axis = axes[k, best_index]
         if separation[k, best_index] < 0:
             best_axis = -best_axis
         normal = best_axis  # points from A towards B
 
         if best_index >= 6:
-            _box_box_edge_contact(ctx, acc, box_a, box_b, pos, rot,
-                                  normal, best_depth)
+            emits.append((box_a, box_b, normal,
+                          float(overlap[k, best_index]), len(edges)))
+            edges.append((box_a, box_b, normal))
             continue
+        emits.append((box_a, box_b, normal, None, len(faces)))
         if best_index < 3:
-            ref_geom, inc_geom = box_a, box_b
-            ref_normal = normal
+            faces.append((box_a, box_b, normal))
         else:
-            ref_geom, inc_geom = box_b, box_a
-            ref_normal = -normal
-        points, depths = _clip_incident_face(ctx, ref_geom, inc_geom,
-                                             pos, rot, ref_normal)
-        if not points:
+            faces.append((box_b, box_a, -normal))
+
+    midpoints = _edge_midpoints(ctx, edges, pos, rot) if edges else None
+    clipped = _clip_incident_faces(ctx, faces, pos, rot) if faces else None
+    for box_a, box_b, normal, edge_depth, slot in emits:
+        if edge_depth is not None:
+            acc.emit(box_a.body, box_b.body, midpoints[slot], normal,
+                     edge_depth, box_a, box_b)
             continue
-        order = np.argsort(-np.asarray(depths))[:_MAX_CONTACTS_PER_PAIR]
+        points, depths = clipped[slot]
+        order = np.argsort(-depths)[:_MAX_CONTACTS_PER_PAIR]
         for m in order:
             acc.emit(box_a.body, box_b.body, points[m], normal,
                      depths[m], box_a, box_b)
+
+
+#: Incident-face corner signs along the two tangents, in the order
+#: :func:`_clip_incident_face` lists the corners.
+_FACE_S0 = np.array([-1, 1, 1, -1], dtype=np.float32)
+_FACE_S1 = np.array([-1, -1, 1, 1], dtype=np.float32)
 
 
 def _face_basis(rot: np.ndarray, half, normal: np.ndarray):
@@ -550,15 +565,126 @@ def _clip_polygon(ctx, polygon, plane_n, plane_d):
     return output
 
 
+def _clip_incident_faces(ctx, faces, pos, rot):
+    """:func:`_clip_incident_face` for many ``(ref, inc, ref_normal)``.
+
+    The corner transform, the four Sutherland–Hodgman side planes and
+    the final face distance run as stacked context ops over every
+    pair's polygon, and of each clip only the crossing edges are
+    computed.  The face choice (:func:`_face_basis`) and the ``np.dot``
+    plane offsets stay per pair, and the crossing parameter ``t`` is
+    the same float64 quotient, so every point carries the per-pair
+    bits.  Returns per pair the points below the reference face and
+    their depths (float64), in the per-pair function's order.
+    """
+    n = len(faces)
+    inc_body = np.empty(n, dtype=np.int64)
+    corners = np.zeros((n, 4, 3), dtype=np.float32)
+    plane_n = np.empty((4, n, 3), dtype=np.float32)
+    plane_d = np.empty((4, n))
+    face_n = np.empty((n, 3), dtype=np.float32)
+    face_d = np.empty(n)
+    for p, (ref_geom, inc_geom, ref_normal) in enumerate(faces):
+        ref_rot, ref_pos = rot[ref_geom.body], pos[ref_geom.body]
+        ref_half, inc_half = ref_geom.params, inc_geom.params
+        inc_body[p] = inc_geom.body
+        ref_axis, ref_sign, ref_tangents = _face_basis(
+            ref_rot, ref_half, np.asarray(ref_normal))
+        inc_axis, inc_sign, (t0, t1) = _face_basis(
+            rot[inc_geom.body], inc_half, -np.asarray(ref_normal))
+        corners[p, :, inc_axis] = inc_sign * inc_half[inc_axis]
+        corners[p, :, t0] = _FACE_S0 * inc_half[t0]
+        corners[p, :, t1] = _FACE_S1 * inc_half[t1]
+        plane = 0
+        for tangent in ref_tangents:
+            axis_dir = ref_rot[:, tangent].astype(np.float32)
+            offset = float(np.dot(ref_pos, axis_dir))
+            for plane_sign in (1.0, -1.0):
+                plane_n[plane, p] = plane_sign * axis_dir
+                plane_d[plane, p] = plane_sign * offset + float(
+                    ref_half[tangent])
+                plane += 1
+        normal = (ref_sign * ref_rot[:, ref_axis]).astype(np.float32)
+        face_n[p] = normal
+        face_d[p] = float(np.dot(ref_pos, normal)) + float(
+            ref_half[ref_axis])
+
+    verts = ctx.add(pos[inc_body][:, None, :],
+                    math3d.matvec(ctx, rot[inc_body][:, None, :, :],
+                                  corners)).reshape(-1, 3)
+    owner = np.repeat(np.arange(n), 4)
+    for plane in range(4):
+        dist = (math3d.dot(ctx, plane_n[plane][owner], verts)
+                - plane_d[plane].astype(np.float32)[owner])
+        length = np.bincount(owner, minlength=n)
+        start = np.cumsum(length) - length
+        nxt = np.arange(1, len(owner) + 1)
+        wrap = nxt == (start + length)[owner]
+        nxt[wrap] = start[owner[wrap]]
+        d0 = dist.astype(np.float64)
+        d1 = d0[nxt]
+        inside = d0 <= 0
+        # Non-finite distances (possible at very low precisions) pass
+        # silently, as through the per-pair clip's Python floats.
+        with np.errstate(invalid="ignore", over="ignore"):
+            crossing = (inside != (d1 <= 0)) & (np.abs(d0 - d1) > 1e-12)
+            cur = np.nonzero(crossing)[0]
+            t = (d0[cur] / (d0[cur] - d1[cur])).astype(np.float32)
+        edge = ctx.sub(verts[nxt[cur]], verts[cur])
+        cut = ctx.add(verts[cur], ctx.mul(edge, t[:, None]))
+        # Each vertex emits itself if inside, then its edge's crossing.
+        count = inside.astype(np.int64) + crossing
+        first = np.cumsum(count) - count
+        clipped = np.empty((int(count.sum()), 3), dtype=np.float32)
+        clipped[first[inside]] = verts[inside]
+        clipped[first[cur] + inside[cur]] = cut
+        verts = clipped
+        owner = np.repeat(owner, count)
+
+    dist = (math3d.dot(ctx, face_n[owner], verts)
+            - face_d.astype(np.float32)[owner])
+    below = dist < 0
+    points = verts[below]
+    depths = -dist[below].astype(np.float64)
+    bounds = np.searchsorted(owner[below], np.arange(n + 1))
+    return [(points[lo:hi], depths[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _edge_midpoints(ctx, edges, pos, rot) -> np.ndarray:
+    """:func:`_box_box_edge_contact`'s points for many ``(a, b, normal)``.
+
+    The support corners' signs stay per pair (a BLAS ``rot.T @ n``);
+    the transforms of both boxes' corners and the midpoint run as
+    stacked context ops.
+    """
+    body = np.array([a.body for a, _, _ in edges]
+                    + [b.body for _, b, _ in edges], dtype=np.int64)
+    local = np.stack(
+        [_support_local(rot[a.body], a.params, np.asarray(normal))
+         for a, _, normal in edges]
+        + [_support_local(rot[b.body], b.params, -np.asarray(normal))
+           for _, b, normal in edges])
+    support = ctx.add(pos[body], math3d.matvec(ctx, rot[body], local))
+    count = len(edges)
+    return ctx.mul(ctx.add(support[:count], support[count:]),
+                   np.float32(0.5))
+
+
+def _support_local(rotm, half, direction) -> np.ndarray:
+    """Box-frame corner furthest along ``direction`` (plain numpy)."""
+    signs = np.sign(rotm.T @ direction)
+    signs[signs == 0] = 1.0
+    return (signs * np.asarray(half)).astype(np.float32)
+
+
 def _box_box_edge_contact(ctx, acc, box_a, box_b, pos, rot, normal, depth):
     """Edge-edge contact: support points along +/- normal on each box."""
     pa, pb = pos[box_a.body], pos[box_b.body]
     ra, rb = rot[box_a.body], rot[box_b.body]
 
     def _support(rotm, half, direction):
-        signs = np.sign(rotm.T @ direction)
-        signs[signs == 0] = 1.0
-        local = (signs * np.asarray(half)).astype(np.float32)
+        local = _support_local(rotm, half, direction)
         return math3d.matvec(ctx, rotm[None, :, :], local[None, :])[0]
 
     support_a = ctx.add(pa, _support(ra, box_a.params, np.asarray(normal)))

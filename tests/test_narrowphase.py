@@ -202,6 +202,44 @@ class TestBoxBox:
             assert np.all(contacts.depth > 0)
             assert np.all(contacts.depth < 0.5)
 
+    @pytest.mark.parametrize("precision", [8, 23])
+    @pytest.mark.parametrize("mode", ["rn", "jam", "trunc"])
+    def test_stacked_epilogue_matches_per_pair(self, mode, precision,
+                                               monkeypatch):
+        """The census-free bucket clips faces and places edge contacts
+        stacked over pairs; the per-pair functions of the op-for-op
+        path are its oracle, bit for bit."""
+        from repro.physics import narrowphase
+
+        def jumble(seed):
+            rng = np.random.default_rng(seed)
+            world = World(ctx=FPContext({"narrow": precision}, mode=mode,
+                                        census=False))
+            for _ in range(14):
+                quat = rng.standard_normal(4)
+                world.add_box(rng.uniform(-0.9, 0.9, 3).tolist(),
+                              rng.uniform(0.25, 0.6, 3).tolist(),
+                              quat=(quat / np.linalg.norm(quat)).tolist())
+            with world.ctx.in_phase("narrow"):
+                contacts = contacts_of(world)
+            return [getattr(contacts, name).tobytes() for name in (
+                "body_a", "body_b", "pos", "normal", "depth")]
+
+        stacked = {}
+        for name in ("_clip_incident_faces", "_edge_midpoints"):
+            original = getattr(narrowphase, name)
+
+            def spy(ctx, pairs, *rest, _name=name, _original=original):
+                stacked[_name] = stacked.get(_name, 0) + len(pairs)
+                return _original(ctx, pairs, *rest)
+            monkeypatch.setattr(narrowphase, name, spy)
+        fast = [jumble(seed) for seed in range(4)]
+        assert stacked["_clip_incident_faces"] > 4
+        assert stacked["_edge_midpoints"] > 1
+
+        monkeypatch.setattr(FPContext, "fast_kernel", lambda self: None)
+        assert fast == [jumble(seed) for seed in range(4)]
+
 
 class TestContactSetInvariants:
     def test_normals_unit_length(self):

@@ -15,11 +15,16 @@ import pytest
 from repro.experiments.table1 import PRESET_PRECISIONS
 from repro.fp.context import FPContext
 from repro.physics import BatchIncompatible, WorldBatch, fleet_ineligibility
+from repro.physics import lcp, narrowphase
 from repro.workloads import SCENARIO_NAMES, build
 
 #: Enough steps for every scenario to reach contact-rich states (the
 #: explosions scenario detonates at step 10, ragdolls hit the ground).
 TRAJECTORY_STEPS = 20
+
+#: Steps before a fleet test starts: the continuous spheres land at step
+#: 20, bounce, and rest on the ground from step 31.
+FLEET_SETTLE_STEPS = {"continuous": 30}
 
 
 def _build_world(name, census=False):
@@ -68,6 +73,31 @@ class TestSoaBitIdentity:
         world = _build_world("continuous")
         assert world.ctx.fast_kernel() is None
 
+        # The per-pair box-box narrow phase and the per-joint row builder
+        # must run, and their batched counterparts must not.
+        calls = {}
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("_box_box", "_box_box_bucket"):
+            spy(narrowphase, name)
+        for name in ("_joint_rows_ref", "_joint_rows_fast"):
+            spy(lcp, name)
+        for scenario in ("breakable", "ragdoll"):
+            world = _build_world(scenario)
+            for _ in range(3):
+                world.step()
+        assert calls.get("_box_box", 0) > 0
+        assert calls.get("_joint_rows_ref", 0) > 0
+        assert "_box_box_bucket" not in calls
+        assert "_joint_rows_fast" not in calls
+
 
 class TestWorldBatch:
     def test_k1_equals_world_step(self):
@@ -79,17 +109,33 @@ class TestWorldBatch:
             fleet.step()
             assert _digest(member) == _digest(solo)
 
+    # explosions and periodic have pinned world slots that out-degree
+    # every dynamic body (108 vs 24 and 18 vs 9); in everything and
+    # ragdoll dynamic bodies are the busiest.
     @pytest.mark.parametrize("scenario", ["continuous", "everything",
+                                          "explosions", "periodic",
                                           "ragdoll"])
-    def test_same_family_batch_equals_sequential(self, scenario):
-        # Desynchronized starts: member i is i steps ahead, so the
-        # merged solve sees four genuinely different row sets.
+    def test_same_family_batch_equals_sequential(self, scenario,
+                                                 monkeypatch):
+        # Members settle until they rest on contacts, then desynchronized
+        # starts put member i i steps ahead, so the merged solve sees
+        # four genuinely different row sets.
         sequential = [_build_world(scenario) for _ in range(4)]
         batched = [_build_world(scenario) for _ in range(4)]
         for i in range(4):
-            for _ in range(i):
+            for _ in range(FLEET_SETTLE_STEPS.get(scenario, 0) + i):
                 sequential[i].step()
                 batched[i].step()
+
+        merged = []
+        solve_rows = lcp.solve_rows
+
+        def spy(ctx, vel, rows, params, pinned):
+            if len(pinned) > 1:
+                merged.append(len(rows))
+            return solve_rows(ctx, vel, rows, params, pinned)
+        monkeypatch.setattr(lcp, "solve_rows", spy)
+
         fleet = WorldBatch(batched)
         for _ in range(8):
             for world in sequential:
@@ -97,6 +143,7 @@ class TestWorldBatch:
             fleet.step()
         for ours, theirs in zip(batched, sequential):
             assert _digest(ours) == _digest(theirs)
+        assert merged, "the fleet never ran a merged solve"
 
     def test_mixed_family_batch_equals_sequential(self):
         # Different scenarios can share a fleet as long as they agree
