@@ -36,12 +36,6 @@ Commands
     snapshot-fidelity check into a ``BENCH_<stamp>_serve.json``.
     ``--shards N`` benchmarks the gateway topology (scaling ratio vs
     a 1-shard baseline, live migration under load).
-``surrogate``
-    The learned precision surrogate (``repro.tuning.surrogate``):
-    ``dataset`` sweeps scenarios into labelled feature rows, ``train``
-    fits the ridge/polynomial model into a JSON artifact, ``predict``
-    prints one prediction, and ``eval`` verifies warm-started searches
-    against the cold baseline (identical bits, fewer probes).
 ``design``
     Closed-loop HFPU design-space search (``repro.design``): sharing
     degree × L1 design × per-phase precision policy under area/energy
@@ -50,8 +44,8 @@ Commands
     ``repro serve`` as the ``design`` op, cached server-side).
 ``table1`` / ``table3`` / ``table4`` / ``table5`` / ``table8`` /
 ``figure5`` / ``figure6`` / ``figure7`` / ``figure8``
-    Regenerate one paper artifact and print it (``table1`` accepts
-    ``--surrogate MODEL`` to warm-start every search cell).
+    Regenerate one paper artifact and print it (``table1`` reads the
+    run cache unless ``--no-cache`` is given).
 """
 
 from __future__ import annotations
@@ -103,9 +97,6 @@ def _add_tune_parser(sub) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help="probe candidate precisions in parallel "
                         "(default: REPRO_WORKERS, else serial)")
-    p.add_argument("--surrogate", default=None, metavar="MODEL",
-                   help="warm-start the search from this trained "
-                        "surrogate artifact (see `repro surrogate`)")
 
 
 def _add_design_parser(sub) -> None:
@@ -132,10 +123,6 @@ def _add_design_parser(sub) -> None:
     p.add_argument("--workers", type=int, default=None,
                    help="evaluate candidates in parallel "
                         "(default: REPRO_WORKERS, else cpu count)")
-    p.add_argument("--surrogate", default=None, metavar="MODEL",
-                   help="predict candidate believability from this "
-                        "trained surrogate artifact (front members are "
-                        "still cold-search verified)")
     p.add_argument("--steps", type=int, default=30,
                    help="simulation steps per believability run")
     p.add_argument("--scale", type=float, default=1.0,
@@ -152,75 +139,6 @@ def _add_design_parser(sub) -> None:
                         "evaluation")
     p.add_argument("--out", default="design-out", metavar="DIR",
                    help="directory for the DESIGN_<stamp>.json artifact")
-
-
-def _add_surrogate_parser(sub) -> None:
-    p = sub.add_parser(
-        "surrogate",
-        help="learned precision surrogate: dataset/train/predict/eval")
-    ssub = p.add_subparsers(dest="surrogate_command", required=True)
-
-    d = ssub.add_parser(
-        "dataset", help="sweep scenarios into labelled feature rows")
-    d.add_argument("--out", default="results/surrogate_dataset.jsonl",
-                   help="JSONL output (header line + one row per "
-                        "configuration)")
-    d.add_argument("--scenarios", nargs="+", default=None,
-                   help="scenario subset (default: all eight)")
-    d.add_argument("--phases", nargs="+", default=["lcp", "narrow"],
-                   choices=["lcp", "narrow"])
-    d.add_argument("--modes", nargs="+", default=["jam"],
-                   choices=["rn", "jam", "trunc"])
-    d.add_argument("--steps", type=int, default=90)
-    d.add_argument("--scale", type=float, default=1.0)
-    d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--probe-steps", type=int, default=None,
-                   help="steps per feature-probe run (default 12)")
-    d.add_argument("--probe-bits", type=int, default=None,
-                   help="narrow width forced in the probe run "
-                        "(default 6)")
-    d.add_argument("--include-combined", action="store_true",
-                   help="also label the combined-tuning rows (narrow "
-                        "re-searched with LCP pinned)")
-    d.add_argument("--workers", type=int, default=None,
-                   help="fan rows over worker processes")
-
-    t = ssub.add_parser(
-        "train", help="fit the ridge/polynomial model from a dataset")
-    t.add_argument("--dataset", default="results/surrogate_dataset.jsonl")
-    t.add_argument("--out", default="results/surrogate_model.json")
-    t.add_argument("--degree", type=int, default=2, choices=[1, 2])
-    t.add_argument("--lam", type=float, default=1e-3,
-                   help="ridge penalty")
-
-    pr = ssub.add_parser(
-        "predict", help="print one minimum-precision prediction")
-    pr.add_argument("scenario")
-    pr.add_argument("--model", default="results/surrogate_model.json")
-    pr.add_argument("--phase", default="lcp", choices=["lcp", "narrow"])
-    pr.add_argument("--mode", default="jam",
-                    choices=["rn", "jam", "trunc"])
-    pr.add_argument("--steps", type=int, default=90)
-    pr.add_argument("--scale", type=float, default=1.0)
-    pr.add_argument("--seed", type=int, default=None)
-
-    e = ssub.add_parser(
-        "eval",
-        help="verify warm-started searches against the cold baseline")
-    e.add_argument("--model", default="results/surrogate_model.json")
-    e.add_argument("--scenarios", nargs="+", default=None)
-    e.add_argument("--phases", nargs="+", default=["lcp"],
-                   choices=["lcp", "narrow"])
-    e.add_argument("--mode", default="jam",
-                   choices=["rn", "jam", "trunc"])
-    e.add_argument("--steps", type=int, default=90)
-    e.add_argument("--scale", type=float, default=1.0)
-    e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--workers", type=int, default=None)
-    e.add_argument("--gate-probes", action="store_true",
-                   help="also fail unless the warm searches evaluated "
-                        "strictly fewer candidate widths in aggregate "
-                        "(identity always gates)")
 
 
 def _add_health_parser(sub) -> None:
@@ -329,9 +247,11 @@ def _add_serve_parser(sub) -> None:
                    help="seconds one tick waits for requests to "
                         "coalesce into a batch")
     p.add_argument("--max-pending", type=int, default=4,
-                   help="queued requests allowed per session")
+                   help="queued requests allowed per session "
+                        "(single-process service only)")
     p.add_argument("--max-queue", type=int, default=256,
-                   help="queued requests allowed service-wide")
+                   help="queued requests allowed service-wide "
+                        "(single-process service only)")
     p.add_argument("--step-budget", type=float, default=30.0,
                    help="wall seconds one step request may take before "
                         "its session is evicted")
@@ -339,7 +259,9 @@ def _add_serve_parser(sub) -> None:
                    help="stream serve.* + step telemetry to this JSONL")
     p.add_argument("--journal-dir", default=None, metavar="DIR",
                    help="per-session snapshot journals for crash-safe "
-                        "restart recovery (omit to disable durability)")
+                        "restart recovery (omit to disable durability; "
+                        "single-process service only, shards journal "
+                        "under --runtime-dir)")
     p.add_argument("--journal-every", type=int, default=32,
                    help="steps a session may advance between journal "
                         "entries")
@@ -351,7 +273,8 @@ def _add_serve_parser(sub) -> None:
                         "(inject_rate, chaos_slow_*)")
     p.add_argument("--no-fleet-step", action="store_true",
                    help="disable coalescing compatible same-tick step "
-                        "requests into one vectorized WorldBatch pass")
+                        "requests into one vectorized WorldBatch pass "
+                        "(single-process service only)")
     p.add_argument("--shards", type=int, default=0, metavar="N",
                    help="scale out: run a gateway over N worker-shard "
                         "subprocesses instead of a single-process "
@@ -359,12 +282,8 @@ def _add_serve_parser(sub) -> None:
                         "live migration, shard-crash recovery)")
     p.add_argument("--runtime-dir", default=None, metavar="DIR",
                    help="shard sockets + per-shard journals live here "
-                        "(default: a fresh temp dir; pass a fixed path "
-                        "to survive gateway restarts)")
-    p.add_argument("--design-surrogate", default=None, metavar="MODEL",
-                   help="warm-start served `design` queries from this "
-                        "trained surrogate artifact (front members are "
-                        "still cold-search verified)")
+                        "(--shards only; default: a fresh temp dir, pass "
+                        "a fixed path to survive gateway restarts)")
 
 
 def _add_serve_bench_parser(sub) -> None:
@@ -482,102 +401,15 @@ def _cmd_run(args) -> int:
 def _cmd_tune(args) -> int:
     from .tuning import minimum_precision
 
-    surrogate = None
-    if args.surrogate:
-        from .tuning import SurrogateModel
-
-        surrogate = SurrogateModel.load(args.surrogate)
     stats = {}
     bits = minimum_precision(args.scenario, phases=(args.phase,),
                              mode=args.mode, steps=args.steps,
                              scale=args.scale, seed=args.seed,
                              runner=_make_runner(args.workers),
-                             surrogate=surrogate, stats=stats)
+                             stats=stats)
     print(f"{args.scenario} / {args.phase} / {args.mode}: "
           f"minimum believable precision = {bits} mantissa bits")
-    detail = f"  probes: {stats['probes']} candidate widths"
-    if surrogate is not None:
-        detail += (f" (surrogate predicted {stats['predicted']}, "
-                   f"warm-start {stats['warm']})")
-    print(detail)
-    return 0
-
-
-def _cmd_surrogate(args) -> int:
-    from .tuning import surrogate as S
-
-    if args.surrogate_command == "dataset":
-        from .perf.sweep import SweepRunner
-
-        runner = _make_runner(args.workers) or SweepRunner(1)
-        rows = S.build_dataset(
-            scenarios=args.scenarios,
-            phases=tuple(args.phases),
-            modes=tuple(args.modes),
-            steps=args.steps,
-            scale=args.scale,
-            seed=args.seed,
-            probe_steps=args.probe_steps or S.DEFAULT_PROBE_STEPS,
-            probe_bits=args.probe_bits or S.DEFAULT_PROBE_BITS,
-            include_combined=args.include_combined,
-            runner=runner,
-            out_path=args.out,
-        )
-        labels = ", ".join(
-            f"{r['scenario']}/{r['phase']}={r['label']}" for r in rows)
-        print(f"surrogate dataset: {len(rows)} rows -> {args.out}")
-        print(f"  labels: {labels}")
-        return 0
-
-    if args.surrogate_command == "train":
-        model = S.train_from_file(args.dataset, degree=args.degree,
-                                  lam=args.lam)
-        path = model.save(args.out)
-        print(f"surrogate model: {model.meta['rows']} rows, "
-              f"train RMSE {model.meta['train_rmse']} bits, "
-              f"floors {model.floors} -> {path}")
-        return 0
-
-    if args.surrogate_command == "predict":
-        model = S.SurrogateModel.load(args.model)
-        features = S.extract_features(
-            args.scenario, steps=args.steps, scale=args.scale,
-            seed=args.seed, mode=args.mode,
-            probe_steps=model.probe_steps, probe_bits=model.probe_bits)
-        bits = model.predict_bits(features, args.phase, args.mode)
-        print(f"{args.scenario} / {args.phase} / {args.mode}: "
-              f"predicted minimum = {bits} mantissa bits "
-              f"(raw {model.predict_value(features, args.phase, args.mode):.2f}, "
-              f"floor {model.floors.get(args.phase, 1)})")
-        return 0
-
-    # eval: cold vs warm on every configuration
-    from .experiments.report import render_table
-
-    model = S.SurrogateModel.load(args.model)
-    report = S.evaluate_warm_start(
-        model, scenarios=args.scenarios, phases=tuple(args.phases),
-        mode=args.mode, steps=args.steps, scale=args.scale,
-        seed=args.seed, runner=_make_runner(args.workers))
-    rows = [[r["scenario"], r["phase"], r["cold_bits"], r["warm_bits"],
-             "yes" if r["identical"] else "NO", r["predicted"],
-             r["warm_path"], r["cold_probes"], r["warm_probes"]]
-            for r in report["rows"]]
-    print(render_table(
-        ["scenario", "phase", "cold", "warm", "same", "pred", "path",
-         "cold probes", "warm probes"],
-        rows, title="surrogate warm-start evaluation"))
-    print(f"aggregate: identical={report['identical']}, "
-          f"probes {report['cold_probes']} -> {report['warm_probes']} "
-          f"({report['probe_savings_pct']}% saved)")
-    if not report["identical"]:
-        print("FAIL: warm-started search diverged from the cold search",
-              file=sys.stderr)
-        return 1
-    if args.gate_probes and not report["fewer_probes"]:
-        print("FAIL: warm searches did not save probes in aggregate",
-              file=sys.stderr)
-        return 1
+    print(f"  probes: {stats['probes']} candidate widths")
     return 0
 
 
@@ -768,18 +600,11 @@ def _cmd_design(args) -> int:
         mapping["designs"] = args.designs
     if args.sharing:
         mapping["sharing"] = args.sharing
-    sid = None
-    if args.surrogate:
-        from .design import surrogate_identity
-
-        sid = surrogate_identity(args.surrogate)
     query = DesignQuery.from_mapping(
-        {k: v for k, v in mapping.items() if v is not None},
-        surrogate_id=sid)
+        {k: v for k, v in mapping.items() if v is not None})
 
     start = time.perf_counter()
-    result = run_search(query, surrogate_path=args.surrogate,
-                        workers=args.workers,
+    result = run_search(query, workers=args.workers,
                         use_cache=not args.no_cache)
     wall = time.perf_counter() - start
     payload = result.payload()
@@ -825,6 +650,26 @@ def _cmd_serve(args) -> int:
 
     from .serve import ServiceConfig, serve_forever
 
+    # Refuse, rather than silently drop, flags the chosen topology never
+    # reads.  Shards run ServiceConfig defaults for the fields
+    # GatewayConfig does not forward, so only a non-default value is lost.
+    if args.shards:
+        unread = {
+            "--journal-dir": args.journal_dir is not None,
+            "--max-pending": (args.max_pending
+                              != ServiceConfig.max_pending_per_session),
+            "--max-queue": args.max_queue != ServiceConfig.max_queue_depth,
+            "--no-fleet-step": args.no_fleet_step,
+        }
+    else:
+        unread = {"--runtime-dir": args.runtime_dir is not None}
+    given = [flag for flag, dropped in unread.items() if dropped]
+    if given:
+        mode = "--shards" if args.shards else "without --shards"
+        print(f"error: repro serve {mode} does not read "
+              f"{', '.join(given)}", file=sys.stderr)
+        return 2
+
     observer = None
     if args.trace:
         from .obs import JsonlWriter, Tracer
@@ -849,7 +694,6 @@ def _cmd_serve(args) -> int:
             drain_grace=args.drain_grace,
             allow_chaos=args.allow_chaos,
             trace_path=args.trace,
-            design_surrogate=args.design_surrogate,
         )
         try:
             asyncio.run(gateway_forever(gateway_config,
@@ -877,7 +721,6 @@ def _cmd_serve(args) -> int:
         drain_grace=args.drain_grace,
         allow_chaos=args.allow_chaos,
         fleet_step=not args.no_fleet_step,
-        design_surrogate=args.design_surrogate,
     )
     try:
         asyncio.run(serve_forever(config, observer=observer))
@@ -936,16 +779,11 @@ def _cmd_artifact(name: str, args=None) -> int:
     )
 
     if name == "table1":
-        surrogate = getattr(args, "surrogate", None)
-        use_cache = not getattr(args, "no_cache", False) and not surrogate
-        result = table1.compute_table1(surrogate=surrogate,
-                                       use_cache=use_cache)
+        result = table1.compute_table1(
+            use_cache=not getattr(args, "no_cache", False))
         print(table1.render(result))
         if result.probes is not None:
-            line = f"search probes: {result.probes} candidate widths"
-            if surrogate:
-                line += f" (warm-started from {surrogate})"
-            print(line)
+            print(f"search probes: {result.probes} candidate widths")
     elif name == "table3":
         print(table3.render(table3.compute_table3()))
     elif name == "table4":
@@ -999,15 +837,10 @@ def main(argv=None) -> int:
     _add_trace_parser(sub)
     _add_serve_parser(sub)
     _add_serve_bench_parser(sub)
-    _add_surrogate_parser(sub)
     _add_design_parser(sub)
     for artifact in ARTIFACTS:
         p = sub.add_parser(artifact, help=f"regenerate paper {artifact}")
         if artifact == "table1":
-            p.add_argument("--surrogate", default=None, metavar="MODEL",
-                           help="warm-start every search cell from this "
-                                "trained surrogate artifact (bits are "
-                                "identical; probe count drops)")
             p.add_argument("--no-cache", action="store_true",
                            help="recompute even if the grid is cached")
 
@@ -1032,8 +865,6 @@ def main(argv=None) -> int:
             return _cmd_serve(args)
         if args.command == "serve-bench":
             return _cmd_serve_bench(args)
-        if args.command == "surrogate":
-            return _cmd_surrogate(args)
         if args.command == "design":
             return _cmd_design(args)
         return _cmd_artifact(args.command, args)

@@ -8,8 +8,7 @@ margin).  See :mod:`repro.design.space` for the model,
 CLI / serve ``design`` op for the boundaries.
 """
 
-from .evaluate import DesignEval, evaluate_point, load_surrogate, \
-    surrogate_identity
+from .evaluate import DesignEval, evaluate_point
 from .optimizer import DesignResult, SearchStats, run_search
 from .pareto import ARTIFACT_VERSION, ParetoFront, dominates
 from .space import (
@@ -40,8 +39,6 @@ __all__ = [
     "design_by_name",
     "dominates",
     "evaluate_point",
-    "load_surrogate",
     "paper_points",
     "run_search",
-    "surrogate_identity",
 ]

@@ -8,26 +8,23 @@ objectives.  The believability axis comes from
 :func:`~repro.tuning.believability.minimum_precision`:
 
 * during the search, a candidate policy's per-phase minimum believable
-  bits are *estimated* — by the PR 9 surrogate when one is supplied,
-  otherwise by a cached uncoupled cold search shared across all
-  policies of a scenario;
+  bits are *estimated* by a cached uncoupled cold search shared across
+  all policies of a scenario;
 * front members are then *verified*: each phase is cold-searched with
   the other phase pinned at the policy's bits (the paper's
   combined-tuning methodology), so the reported front is measured, not
   predicted.
 
 Every evaluation is a pure function of (point, workload digest,
-surrogate id) and is memoized through the process-safe run cache
-(:func:`repro.experiments.runcache.cached_json`) — satellite 1 —
-so repeated DSE sweeps and served design queries skip re-simulation.
+verified) and is memoized through the process-safe run cache
+(:func:`repro.experiments.runcache.cached_json`), so repeated DSE
+sweeps and served design queries skip re-simulation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..arch.area import per_core_area_mm2
@@ -35,28 +32,10 @@ from ..arch.energy import phase_energy
 from ..arch.throughput import evaluate_config
 from ..arch.trace import PhaseWorkload
 from ..experiments.runcache import cached_json, census_stats
-from ..fp.rounding import FULL_PRECISION
-from ..tuning.believability import PrecisionQuery, minimum_precision
+from ..tuning.believability import minimum_precision
 from .space import PHASES, DesignPoint, DesignSpace
 
-__all__ = ["DesignEval", "evaluate_point", "min_bits_for",
-           "surrogate_identity", "load_surrogate"]
-
-
-def surrogate_identity(path) -> str:
-    """Content digest of a surrogate artifact — part of every design
-    cache key, so retraining the model invalidates predicted evals."""
-    blob = Path(path).read_bytes()
-    return hashlib.sha1(blob).hexdigest()[:16]
-
-
-def load_surrogate(path):
-    """Load a PR 9 surrogate artifact, returning (model, identity)."""
-    if path is None:
-        return None, None
-    from ..tuning.surrogate import SurrogateModel
-
-    return SurrogateModel.load(path), surrogate_identity(path)
+__all__ = ["DesignEval", "evaluate_point", "min_bits_for"]
 
 
 @dataclass(frozen=True)
@@ -128,28 +107,19 @@ def min_bits_for(
     space: DesignSpace,
     phase: str,
     policy: Mapping[str, int],
-    surrogate=None,
     verify: bool = False,
     use_cache: bool = True,
 ) -> int:
     """Minimum believable mantissa bits for ``phase`` under ``policy``.
 
-    The query always pins the *other* phases at the policy's bits (the
-    combined-tuning coupling).  ``verify=True`` forces a cold
-    :func:`minimum_precision` search; otherwise a supplied surrogate
-    predicts, and the cold fallback drops the pins so one cached search
-    serves every candidate policy of the scenario.
+    ``verify=True`` pins the *other* phases at the policy's bits (the
+    combined-tuning coupling); otherwise the estimate drops the pins so
+    one cached cold :func:`minimum_precision` search serves every
+    candidate policy of the scenario.
     """
-    fixed = {p: int(policy[p]) for p in PHASES if p != phase}
-    if surrogate is not None and not verify:
-        query = PrecisionQuery(
-            scenario=space.scenario, phases=(phase,), mode=space.mode,
-            steps=space.steps, scale=space.scale, seed=None,
-            fixed=tuple(sorted(fixed.items())))
-        return min(max(int(surrogate.predict_query(query)), 1),
-                   FULL_PRECISION)
-    if not verify:
-        fixed = {}  # uncoupled estimate: shared across all policies
+    # Uncoupled estimate unless verifying: shared across all policies.
+    fixed = ({p: int(policy[p]) for p in PHASES if p != phase}
+             if verify else {})
 
     def compute() -> dict:
         return {"bits": minimum_precision(
@@ -179,14 +149,12 @@ def _phase_workload(space: DesignSpace, policy: Mapping[str, int],
 def evaluate_point(
     space: DesignSpace,
     point: DesignPoint,
-    surrogate=None,
-    surrogate_id: Optional[str] = None,
     verify: bool = False,
     use_cache: bool = True,
 ) -> DesignEval:
     """Price one design point (pure function, run-cache memoized).
 
-    The cache key is (point, workload digest, surrogate id, verify) —
+    The cache key is (point, workload digest, verify) —
     budgets deliberately stay out of it, so tightening a budget reuses
     every prior simulation and only re-derives feasibility.
     """
@@ -194,11 +162,10 @@ def evaluate_point(
     policy = point.policy
 
     def compute() -> dict:
-        # Believability first: estimated (surrogate / uncoupled cold)
-        # during search, coupled cold-searched for verification.
+        # Believability first: estimated (uncoupled cold) during
+        # search, coupled cold-searched for verification.
         min_bits = {
-            phase: min_bits_for(space, phase, policy,
-                                surrogate=surrogate, verify=verify,
+            phase: min_bits_for(space, phase, policy, verify=verify,
                                 use_cache=use_cache)
             for phase in PHASES}
         margin = min(int(policy[phase]) - min_bits[phase]
@@ -232,12 +199,10 @@ def evaluate_point(
             "phases": phases,
         }
 
-    sid = surrogate_id if (surrogate is not None and not verify) else None
     payload = cached_json(
         "design_eval",
         {"point": point.to_dict(),
          "workload": space.workload_digest(),
-         "surrogate": sid or "cold",
          "verified": verify},
         compute, use_cache=use_cache)
     believable = bool(payload["believable"])

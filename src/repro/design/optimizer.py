@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..perf.sweep import SweepJob, SweepRunner
-from .evaluate import DesignEval, evaluate_point, load_surrogate
+from .evaluate import DesignEval, evaluate_point
 from .pareto import ARTIFACT_VERSION, ParetoFront
 from .space import DesignPoint, DesignQuery, DesignSpace
 
@@ -37,27 +37,10 @@ __all__ = ["SearchStats", "DesignResult", "run_search"]
 #: least one new point, so this is a safety net, not a tuning knob)
 MAX_VERIFY_ROUNDS = 64
 
-# Surrogate artifacts load once per worker process, not once per job.
-_SURROGATE_CACHE: Dict[str, Tuple[object, str]] = {}
-
-
-def _surrogate_for(path: Optional[str]):
-    if path is None:
-        return None, None
-    if path not in _SURROGATE_CACHE:
-        _SURROGATE_CACHE[path] = load_surrogate(path)
-    return _SURROGATE_CACHE[path]
-
-
-def _eval_job(space: DesignSpace, point: DesignPoint,
-              surrogate_path: Optional[str], verify: bool,
+def _eval_job(space: DesignSpace, point: DesignPoint, verify: bool,
               use_cache: bool) -> DesignEval:
     """Module-level so it pickles into SweepRunner worker processes."""
-    surrogate, sid = (None, None) if verify else _surrogate_for(
-        surrogate_path)
-    return evaluate_point(space, point, surrogate=surrogate,
-                          surrogate_id=sid, verify=verify,
-                          use_cache=use_cache)
+    return evaluate_point(space, point, verify=verify, use_cache=use_cache)
 
 
 @dataclass
@@ -124,7 +107,6 @@ def _front_of(archive: Dict[Tuple, DesignEval]) -> ParetoFront:
 
 def run_search(
     query: DesignQuery,
-    surrogate_path: Optional[str] = None,
     workers: Optional[int] = None,
     use_cache: bool = True,
     runner: Optional[SweepRunner] = None,
@@ -151,8 +133,7 @@ def run_search(
             return
         jobs = [SweepJob(
             key=point.key(), fn=_eval_job,
-            args=(space, point, None if verify else surrogate_path,
-                  verify, use_cache),
+            args=(space, point, verify, use_cache),
         ) for point in todo]
         for result in runner.run(jobs):
             archive[result.key] = result.value

@@ -356,7 +356,7 @@ class DesignSpace:
     def workload_digest(self) -> str:
         """Hash of everything that shapes one point's evaluation
         *other than the point itself* — the trace/believability inputs.
-        The run cache keys on (point, this digest, surrogate id)."""
+        The run cache keys on (point, this digest, verified)."""
         blob = json.dumps({
             "scenario": self.scenario,
             "steps": self.steps,
@@ -397,8 +397,6 @@ class DesignQuery:
     generations: int = 3
     population: int = 12
     seed: int = 0
-    #: identity of the surrogate the search ran with (``None`` = cold)
-    surrogate_id: Optional[str] = None
 
     _FIELDS = ("scenario", "budget_area", "budget_energy", "generations",
                "population", "seed", "steps", "scale", "mode",
@@ -406,8 +404,7 @@ class DesignQuery:
                "surrogate_id")
 
     @classmethod
-    def from_mapping(cls, query: Mapping,
-                     surrogate_id: Optional[str] = None) -> "DesignQuery":
+    def from_mapping(cls, query: Mapping) -> "DesignQuery":
         if not isinstance(query, Mapping):
             raise DesignSpaceError(
                 "query", "design query must be a JSON object")
@@ -439,12 +436,14 @@ class DesignQuery:
             minimum=2)
         seed = _require_number("seed", query.get("seed", 0),
                                integer=True, positive=False)
-        sid = query.get("surrogate_id", surrogate_id)
-        if sid is not None and not isinstance(sid, str):
-            raise DesignSpaceError("surrogate_id",
-                                   "surrogate_id must be a string")
+        # A repro.design.v1 field kept so payloads and query keys stay
+        # stable; every search is cold, so null is its only value.
+        if query.get("surrogate_id") is not None:
+            raise DesignSpaceError(
+                "surrogate_id", "surrogate_id must be null (searches "
+                                "are always cold)")
         return cls(space=space, generations=generations,
-                   population=population, seed=seed, surrogate_id=sid)
+                   population=population, seed=seed)
 
     def canonical(self) -> dict:
         """The normalized query — every default filled in, stable key
@@ -464,7 +463,7 @@ class DesignQuery:
             "trace_length": space.trace_length,
             "designs": list(space.designs),
             "sharing": list(space.sharing),
-            "surrogate_id": self.surrogate_id,
+            "surrogate_id": None,
         }
 
     def cache_key(self) -> str:

@@ -82,9 +82,9 @@ class Table1Result:
     narrow_combined: Dict[str, int]
     steps: int
     scale: float
-    #: total candidate widths simulated across every search cell
-    #: (``None`` when the grid came from the cache); with a surrogate
-    #: this drops while the bits stay identical
+    #: total candidate widths simulated across every search cell (the
+    #: sum of each cold search's ``stats["probes"]``; ``None`` when the
+    #: grid came from the cache)
     probes: Optional[int] = None
 
 
@@ -101,7 +101,6 @@ def compute_table1(
     scenarios=None,
     use_cache: bool = True,
     workers: Optional[int] = None,
-    surrogate=None,
 ) -> Table1Result:
     """Run (or load) the full minimum-precision grid.
 
@@ -109,11 +108,6 @@ def compute_table1(
     :class:`~repro.perf.sweep.SweepRunner`; the combined-tuning searches
     follow as a second stage because each depends on its scenario's
     jamming LCP minimum.  Results are identical to the serial order.
-
-    ``surrogate`` (a trained
-    :class:`~repro.tuning.surrogate.SurrogateModel` or a path to its
-    JSON artifact) warm-starts every search cell; the measured bits are
-    identical by construction, only :attr:`Table1Result.probes` drops.
     """
     steps = default_steps() if steps is None else steps
     scenarios = list(scenarios or SCENARIO_NAMES)
@@ -127,19 +121,13 @@ def compute_table1(
             steps=steps,
             scale=scale,
         )
-    if isinstance(surrogate, (str, bytes)) or hasattr(surrogate,
-                                                      "__fspath__"):
-        from ..tuning.surrogate import SurrogateModel
-        surrogate = SurrogateModel.load(surrogate)
-    extra = {"surrogate": surrogate} if surrogate is not None else {}
 
     runner = SweepRunner(workers)
     grid = [SweepJob(
         key=(scenario, phase, mode.value),
         fn=_search_cell,
         args=(scenario,),
-        kwargs=dict(phases=(phase,), mode=mode, steps=steps, scale=scale,
-                    **extra),
+        kwargs=dict(phases=(phase,), mode=mode, steps=steps, scale=scale),
     ) for scenario in scenarios
         for phase in ("lcp", "narrow")
         for mode in _MODES]
@@ -164,8 +152,7 @@ def compute_table1(
             scale=scale,
             fixed_precision={
                 "lcp": independent[scenario]["lcp"][
-                    RoundingMode.JAMMING.value]},
-            **extra),
+                    RoundingMode.JAMMING.value]}),
     ) for scenario in scenarios]
     combined_results = runner.run(combined)
     probes += sum(r.ops for r in combined_results)

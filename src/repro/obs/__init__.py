@@ -29,15 +29,12 @@ from .schema import (
     validate_event,
     validate_events,
 )
-from .features import EVENT_FEATURES, features_from_events
 from .summarize import render as render_summary
 from .summarize import summarize, summarize_file
 from .trace import JsonlWriter, NullSink, read_events
 from .tracer import Tracer
 
 __all__ = [
-    "EVENT_FEATURES",
-    "features_from_events",
     "Counter",
     "Gauge",
     "Histogram",

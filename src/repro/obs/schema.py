@@ -26,9 +26,9 @@ recovery, or after a migration repoints it) and ``serve.migrate`` (one
 event per live migration attempt with source/target shard, the step the
 snapshot moved at, digest verdict and wall cost).  Version 5 adds the
 ``recover`` controller action (the stable-path upward clamp back to the
-register floor — feed-forward surrogate control made states below the
-floor reachable, and the controller now repairs them instead of holding
-there).  Version 6 adds the design-space-optimizer kind:
+register floor — a served ``restore`` carrying ``precisions`` or a
+caller's ``set_precision`` can leave a phase below its floor, and the
+controller repairs it instead of holding there).  Version 6 adds the design-space-optimizer kind:
 ``serve.design`` (one event per served design query — canonical query
 key, whether the server-side cache answered it, front size, outcome and
 wall cost) plus the ``design`` serve op.  Older streams stay valid:

@@ -100,9 +100,6 @@ class ServiceConfig:
     #: coalesce compatible same-tick step requests into one vectorized
     #: :class:`~repro.physics.WorldBatch` pass (bit-identical)
     fleet_step: bool = True
-    #: optional PR 9 surrogate artifact path warm-starting served
-    #: ``design`` queries (cold search when None)
-    design_surrogate: Optional[str] = None
     #: served design payloads cached, keyed on the canonical query
     design_cache_size: int = DESIGN_CACHE_SIZE
 
@@ -445,15 +442,10 @@ class SimulationService:
         detail the CLI prints.
         """
         from ..design import DesignQuery, DesignSpaceError, run_search
-        from ..design.evaluate import surrogate_identity
 
         start = time.perf_counter()
-        surrogate_path = self.config.design_surrogate
         try:
-            sid = (surrogate_identity(surrogate_path)
-                   if surrogate_path else None)
-            query = DesignQuery.from_mapping(frame["query"],
-                                             surrogate_id=sid)
+            query = DesignQuery.from_mapping(frame["query"])
         except DesignSpaceError as exc:
             raise ServiceError(
                 "bad_request", f"design query: {exc.detail}") from None
@@ -496,8 +488,7 @@ class SimulationService:
         try:
             result = await loop.run_in_executor(
                 None,
-                lambda: run_search(query, surrogate_path=surrogate_path,
-                                   workers=self.config.workers))
+                lambda: run_search(query, workers=self.config.workers))
             payload = result.payload()
             self._design_cache[key] = payload
             while len(self._design_cache) > self.config.design_cache_size:

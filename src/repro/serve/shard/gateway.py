@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Set
 
 from ...obs.metrics import MetricsRegistry
 from ...robustness.checkpoint import serialize_checkpoint
+from ...robustness.incidents import IncidentLog
 from ..client import Client
 from ..protocol import (
     GATEWAY_OPS,
@@ -95,9 +96,6 @@ class GatewayConfig:
     #: seconds a migration may wait for in-flight requests to finish
     migrate_grace: float = 10.0
     vnodes: int = 64
-    #: optional surrogate artifact path shards warm-start ``design``
-    #: queries with
-    design_surrogate: Optional[str] = None
 
     def shard_service_config(self) -> ServiceConfig:
         """The per-shard ServiceConfig (socket/journal paths added by
@@ -110,7 +108,6 @@ class GatewayConfig:
             journal_every=self.journal_every,
             drain_grace=self.drain_grace,
             allow_chaos=self.allow_chaos,
-            design_surrogate=self.design_surrogate,
         )
 
 
@@ -158,6 +155,7 @@ class ShardGateway:
         self.registry = registry or (observer.registry if observer
                                      is not None else MetricsRegistry())
         self.observer = observer
+        self.incidents = IncidentLog()
         runtime = self.config.runtime_dir or tempfile.mkdtemp(
             prefix="repro-gateway-")
         self.runtime_dir = Path(runtime)
@@ -442,6 +440,12 @@ class ShardGateway:
                                       extra=exc.extra)
             ok, error = False, exc.code
         except Exception as exc:  # noqa: BLE001 - gateway must survive
+            # Same record the single-process service keeps: a gateway
+            # bug must not vanish into a counter.
+            self.incidents.detection(
+                0, "serve",
+                f"internal error on {op or 'invalid'!r}: "
+                f"{type(exc).__name__}: {exc}")
             self.registry.counter("serve.internal_errors").inc()
             response = error_response(
                 "internal", f"{type(exc).__name__}: {exc}", frame)
@@ -847,6 +851,7 @@ class ShardGateway:
             "sessions": sessions,
             "active_sessions": len(self.routes),
             "requests_total": self.requests_total,
+            "incidents": len(self.incidents.records),
             "draining": self._draining,
             "shards": shards,
             "metrics": self.registry.snapshot(),

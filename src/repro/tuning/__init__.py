@@ -3,38 +3,20 @@
 from .believability import (
     BelievabilityCriteria,
     EnergyTrace,
-    PrecisionQuery,
     deviation,
     energy_trace,
     is_believable,
     minimum_precision,
 )
 from .controller import ControlledSimulation, PrecisionController
-from .surrogate import (
-    SurrogateModel,
-    build_dataset,
-    evaluate_warm_start,
-    extract_features,
-    load_dataset,
-    train,
-    train_from_file,
-)
 
 __all__ = [
     "BelievabilityCriteria",
     "EnergyTrace",
-    "PrecisionQuery",
     "deviation",
     "energy_trace",
     "is_believable",
     "minimum_precision",
     "ControlledSimulation",
     "PrecisionController",
-    "SurrogateModel",
-    "build_dataset",
-    "evaluate_warm_start",
-    "extract_features",
-    "load_dataset",
-    "train",
-    "train_from_file",
 ]

@@ -26,7 +26,6 @@ from ..workloads import build, default_steps
 __all__ = [
     "BelievabilityCriteria",
     "EnergyTrace",
-    "PrecisionQuery",
     "energy_trace",
     "is_believable",
     "deviation",
@@ -153,28 +152,6 @@ def is_believable(
     return test.max_penetration <= allowed
 
 
-@dataclass(frozen=True)
-class PrecisionQuery:
-    """One minimum-precision search, as a surrogate model sees it.
-
-    :func:`minimum_precision` builds this from its own arguments and
-    hands it to ``surrogate.predict_query``; anything answering with an
-    integer mantissa width (a trained
-    :class:`~repro.tuning.surrogate.SurrogateModel`, a lookup table, a
-    test stub) can warm-start the search.
-    """
-
-    scenario: str
-    phases: Tuple[str, ...]
-    mode: str
-    steps: int
-    scale: float
-    seed: Optional[int]
-    #: sorted ``fixed_precision`` items (the combined-tuning pins)
-    fixed: Tuple[Tuple[str, int], ...] = ()
-    lowest: int = 1
-
-
 # Reference (full-precision) traces are expensive; cache per config.
 # The criteria belong in the key: ``max_speed`` changes blow-up
 # detection *inside* energy_trace, so two criteria can classify the
@@ -226,11 +203,6 @@ def _speculative_candidates(lo: int, hi: int, depth: int):
     return candidates
 
 
-#: Half-width of the warm-start verification bracket around a
-#: surrogate prediction: the search first checks ``[pred-2, pred+2]``.
-WARM_BRACKET = 2
-
-
 def minimum_precision(
     scenario: str,
     phases: Iterable[str] = ("lcp",),
@@ -243,7 +215,6 @@ def minimum_precision(
     solver=None,
     seed: Optional[int] = None,
     runner: Optional[SweepRunner] = None,
-    surrogate=None,
     stats: Optional[Dict] = None,
 ) -> int:
     """Minimum mantissa bits for believable results (one Table 1 cell).
@@ -259,20 +230,9 @@ def minimum_precision(
     binary-search tree), returning precisions identical to the serial
     path.
 
-    ``surrogate`` (anything with ``predict_query(PrecisionQuery) -> int``,
-    typically a trained :class:`~repro.tuning.surrogate.SurrogateModel`)
-    warm-starts the search: the prediction's ``±WARM_BRACKET``
-    neighbourhood is verified first, and the bisection runs inside it
-    only when the bracket provably contains the believability flip (low
-    edge unbelievable, high edge believable).  A wrong prediction falls
-    back to the full ``[lowest, FULL_PRECISION]`` bracket, reusing every
-    probe already evaluated — the believability of a width is
-    deterministic, so the returned bits are identical to the cold
-    search either way.
-
-    ``stats``, when given a dict, is filled with ``bits`` (the result),
-    ``probes`` (distinct candidate widths simulated), ``warm``
-    (``None`` / ``"hit"`` / ``"fallback"``), and ``predicted``.
+    ``stats``, when given a dict, is filled with ``bits`` (the result)
+    and ``probes`` (the distinct candidate widths simulated; the
+    full-precision reference run is not a probe).
     """
     criteria = criteria or BelievabilityCriteria()
     steps = default_steps() if steps is None else steps
@@ -309,58 +269,12 @@ def minimum_precision(
     while (1 << (depth + 1)) - 1 <= workers:
         depth += 1
 
-    predicted = None
-    warm = None
-
     def _done(bits: int) -> int:
         if stats is not None:
-            stats.update(bits=bits, probes=len(known), warm=warm,
-                         predicted=predicted)
+            stats.update(bits=bits, probes=len(known))
         return bits
 
     lo, hi = lowest, FULL_PRECISION  # hi is always believable (identity)
-
-    if surrogate is not None:
-        query = PrecisionQuery(
-            scenario=scenario, phases=phases, mode=mode.value,
-            steps=steps, scale=scale, seed=seed,
-            fixed=tuple(sorted((fixed_precision or {}).items())),
-            lowest=lowest)
-        predicted = min(max(int(surrogate.predict_query(query)), lowest),
-                        FULL_PRECISION)
-        blo = max(lowest, predicted - WARM_BRACKET)
-        bhi = min(FULL_PRECISION, predicted + WARM_BRACKET)
-        evaluate([blo])
-        if known[blo]:
-            if blo == lowest:
-                # Same single probe (and answer) the cold search makes.
-                warm = "hit"
-                return _done(lowest)
-            # The minimum lies below the predicted bracket.
-            warm = "fallback"
-        else:
-            # The cold search never probes FULL_PRECISION (identity run
-            # is believable by construction); mirror that here.
-            believable_hi = (bhi >= FULL_PRECISION)
-            if not believable_hi:
-                evaluate([bhi])
-                believable_hi = known[bhi]
-            if believable_hi:
-                # Bracket contains the flip: bisect inside it.
-                warm = "hit"
-                lo, hi = blo, bhi
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    evaluate([mid])
-                    if known[mid]:
-                        hi = mid
-                    else:
-                        lo = mid
-                return _done(hi)
-            # The minimum lies above the predicted bracket.
-            warm = "fallback"
-        lo, hi = lowest, FULL_PRECISION
-
     evaluate([lo] + (_speculative_candidates(lo, hi, depth)
                      if workers > 1 else []))
     if known[lo]:

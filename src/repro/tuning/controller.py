@@ -18,7 +18,7 @@ Hardware/software co-design, modelled end to end:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -47,7 +47,6 @@ class PrecisionController:
         register: Mapping[str, int],
         threshold: float = 0.10,
         blowup_threshold: float = 1.0,
-        surrogate=None,
     ) -> None:
         """
         Parameters
@@ -63,51 +62,20 @@ class PrecisionController:
         blowup_threshold:
             Relative difference treated as an outright blow-up, invoking
             the re-execution fail-safe.
-        surrogate:
-            Optional feed-forward predictions: a mapping
-            ``{phase: bits}`` (e.g. from
-            :meth:`~repro.tuning.surrogate.SurrogateModel.feed_forward_register`)
-            or a callable ``phase -> bits``.  Predicted precisions are
-            set *ahead* of any energy signal and become the stable-path
-            decay target, hard-clamped to never go below the register
-            floor; the violation throttle and the re-execution fail-safe
-            stay in place as the safety net.
         """
         self.ctx = ctx
         self.register = dict(register)
         self.threshold = threshold
         self.blowup_threshold = blowup_threshold
-        self.surrogate = surrogate
-        self.targets = self._feed_forward_targets()
         self.history: List[_StepLog] = []
         self.violations = 0
         self.reexecutions = 0
         #: optional :class:`~repro.obs.Tracer`; every :meth:`observe`
         #: call streams the throttle/decay/hold/recover action it took.
         self.observer = None
-        # Start at the steady-state setting: the register minimum, or
-        # the (floor-clamped) surrogate prediction when one is supplied.
-        for phase, bits in self.targets.items():
+        # Start at the steady-state setting: the register minimum.
+        for phase, bits in self.register.items():
             ctx.set_precision(phase, bits)
-
-    def _feed_forward_targets(self) -> Dict[str, int]:
-        """Per-phase decay targets, never below the register floor."""
-        targets: Dict[str, int] = {}
-        for phase, minimum in self.register.items():
-            bits = minimum
-            if self.surrogate is not None:
-                if isinstance(self.surrogate, Mapping):
-                    predicted = self.surrogate.get(phase)
-                else:
-                    predicted = self.surrogate(phase)
-                if predicted is not None:
-                    # Hard clamp: a misprediction may cost energy
-                    # violations (the guard catches those) but must
-                    # never push a phase below its profiled floor.
-                    bits = max(minimum,
-                               min(int(predicted), FULL_PRECISION))
-            targets[phase] = bits
-        return targets
 
     # ------------------------------------------------------------------
     def observe(self, relative_difference: Optional[float],
@@ -130,18 +98,17 @@ class PrecisionController:
                 self.ctx.set_precision(phase, FULL_PRECISION)
         else:
             # Stable: step precision back down, one bit per step,
-            # toward the (surrogate-aware) target.
+            # toward the register minimum.
             for phase, minimum in self.register.items():
                 current = self.ctx.precision_for(phase)
-                target = self.targets.get(phase, minimum)
-                if current > target:
+                if current > minimum:
                     self.ctx.set_precision(phase, current - 1)
                     action = "decay"
                 elif current < minimum:
-                    # An external write, partial register update, or a
-                    # surrogate misprediction left this phase below its
-                    # profiled floor; recover to the minimum instead of
-                    # holding there forever.
+                    # An external write (a caller's set_precision, or a
+                    # served restore carrying ``precisions``) left this
+                    # phase below its profiled floor; recover to the
+                    # minimum instead of holding there forever.
                     self.ctx.set_precision(phase, minimum)
                     action = "recover"
         self.history.append(

@@ -66,6 +66,20 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["surrogate", "train"],
+        ["tune", "continuous", "--surrogate", "model.json"],
+        ["table1", "--surrogate", "model.json"],
+        ["design", "--surrogate", "model.json"],
+        ["serve", "--design-surrogate", "model.json"],
+    ])
+    def test_removed_surrogate_surface_is_a_usage_error(self, argv,
+                                                        capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "surrogate" in capsys.readouterr().err
+
     def test_artifact_commands_registered(self):
         assert set(ARTIFACTS) == {
             "table1", "table3", "table4", "table5", "table8",
@@ -152,6 +166,44 @@ class TestServeCli:
         assert "snapshot fidelity: bit-identical" in out
         assert "OK" in out
         assert list(tmp_path.glob("BENCH_*_serve.json"))
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """Stub both serve loops; collect the config each one got."""
+        configs = []
+
+        async def serve(config, observer=None):
+            configs.append(config)
+
+        monkeypatch.setattr("repro.serve.serve_forever", serve)
+        monkeypatch.setattr("repro.serve.gateway_forever", serve)
+        return configs
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--shards", "2", "--journal-dir", "j"], "--journal-dir"),
+        (["--shards", "2", "--max-pending", "8"], "--max-pending"),
+        (["--shards", "2", "--max-queue", "9"], "--max-queue"),
+        (["--shards", "2", "--no-fleet-step"], "--no-fleet-step"),
+        (["--runtime-dir", "r"], "--runtime-dir"),
+    ])
+    def test_serve_refuses_flags_its_mode_ignores(self, argv, flag,
+                                                  served, capsys):
+        assert main(["serve", "--port", "0"] + argv) == 2
+        assert flag in capsys.readouterr().err
+        assert served == []
+
+    def test_serve_passes_flags_its_mode_reads(self, served):
+        assert main(["serve", "--port", "0", "--shards", "2",
+                     "--runtime-dir", "r"]) == 0
+        assert main(["serve", "--port", "0", "--journal-dir", "j",
+                     "--max-pending", "8", "--max-queue", "9",
+                     "--no-fleet-step"]) == 0
+        gateway, service = served
+        assert (gateway.shards, gateway.runtime_dir) == (2, "r")
+        assert service.journal_dir == "j"
+        assert service.max_pending_per_session == 8
+        assert service.max_queue_depth == 9
+        assert not service.fleet_step
 
     def test_serve_and_serve_bench_registered(self, capsys):
         with pytest.raises(SystemExit):

@@ -123,6 +123,15 @@ class TestValidation:
             DesignQuery.from_mapping({**SMALL, "frobnicate": 1})
         assert "frobnicate" in err.value.detail
 
+    def test_surrogate_id_is_always_null(self):
+        """The v1 query keeps ``surrogate_id`` (its key hashes it), but
+        searches are cold, so only null is accepted."""
+        query = DesignQuery.from_mapping({"surrogate_id": None})
+        assert query.canonical()["surrogate_id"] is None
+        with pytest.raises(DesignSpaceError) as err:
+            DesignQuery.from_mapping({"surrogate_id": "0123abcd"})
+        assert err.value.field == "surrogate_id"
+
     def test_budgets_validate(self):
         with pytest.raises(DesignSpaceError):
             Budgets(area_mm2=-2.0).validate()

@@ -13,6 +13,7 @@ module (the crash test runs last and restores the topology it
 perturbs).
 """
 
+import asyncio
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.serve import (
     RetryPolicy,
     ServeClientError,
     ServiceConfig,
+    ShardGateway,
     start_gateway_in_thread,
     start_in_thread,
 )
@@ -185,6 +187,27 @@ class TestGatewayErrorForwarding:
 
     def test_shard_down_is_a_client_retry_code(self):
         assert "shard_down" in RetryPolicy().retry_codes
+
+    def test_internal_error_logs_an_incident(self, tmp_path):
+        """An unexpected gateway exception answers ``internal`` and is
+        recorded in the gateway's incident log, as the service does."""
+        # Never started: the constructor spawns no shard.
+        gateway = ShardGateway(GatewayConfig(runtime_dir=str(tmp_path)))
+
+        async def broken(*args):
+            raise RuntimeError("bug")
+
+        gateway._execute = broken
+        reply = asyncio.run(gateway.handle_request({"op": "ping", "id": 7}))
+        assert reply == {"ok": False, "error": "internal",
+                         "detail": "RuntimeError: bug", "id": 7}
+        records = gateway.incidents.records
+        assert len(records) == 1
+        assert "internal error on 'ping': RuntimeError: bug" in \
+            records[0].detail
+        del gateway._execute
+        stats = asyncio.run(gateway.handle_request({"op": "stats"}))
+        assert stats["incidents"] == 1
 
     def test_plain_server_refuses_gateway_ops(self):
         handle = start_in_thread(ServiceConfig(port=0, max_sessions=4))

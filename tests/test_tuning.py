@@ -4,6 +4,7 @@ controller."""
 import numpy as np
 import pytest
 
+from repro.experiments.table1 import compute_table1
 from repro.fp import FPContext
 from repro.fp.rounding import FULL_PRECISION
 from repro.physics import World
@@ -17,6 +18,7 @@ from repro.tuning import (
     is_believable,
     minimum_precision,
 )
+from repro.tuning import believability
 
 
 class TestDeviation:
@@ -333,50 +335,51 @@ class TestRestoreThroughSetPrecision:
             ("lcp", FULL_PRECISION))
 
 
-class TestFeedForwardController:
-    """The surrogate= parameter on PrecisionController."""
+class TestColdSearchAccounting:
+    """``stats`` and ``Table1Result.probes`` count exactly the widths the
+    search simulated (``perfbench`` reports the latter as
+    ``tuning.probes``)."""
 
-    def test_mapping_surrogate_sets_start_precision(self):
-        ctx = FPContext({"lcp": 23, "narrow": 23})
-        PrecisionController(ctx, {"lcp": 6, "narrow": 8},
-                            surrogate={"lcp": 12, "narrow": 10})
-        assert ctx.precision_for("lcp") == 12
-        assert ctx.precision_for("narrow") == 10
+    STEPS, SCALE = 20, 0.4
 
-    def test_callable_surrogate(self):
-        ctx = FPContext({"lcp": 23})
-        PrecisionController(ctx, {"lcp": 6}, surrogate=lambda phase: 14)
-        assert ctx.precision_for("lcp") == 14
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        """Every believability probe run, as (scenario, precision)."""
+        calls = []
+        original = believability._trace_worker
 
-    def test_prediction_below_floor_is_clamped(self):
-        ctx = FPContext({"lcp": 23})
-        controller = PrecisionController(ctx, {"lcp": 8},
-                                         surrogate={"lcp": 2})
-        assert ctx.precision_for("lcp") == 8
-        assert controller.targets["lcp"] == 8
+        def spy(scenario, precision, *args):
+            calls.append((scenario, tuple(sorted(precision.items()))))
+            return original(scenario, precision, *args)
 
-    def test_decay_stops_at_surrogate_target(self):
-        ctx = FPContext({"lcp": 23})
-        controller = PrecisionController(ctx, {"lcp": 6},
-                                         surrogate={"lcp": 10})
-        controller.observe(0.5, step=0)  # throttle to 23
-        for step in range(1, 20):
-            controller.observe(0.01, step=step)
-        # Decays to the predicted target, not all the way to the floor.
-        assert ctx.precision_for("lcp") == 10
+        monkeypatch.setattr(believability, "_trace_worker", spy)
+        return calls
 
-    def test_energy_guard_catches_misprediction(self):
-        ctx = FPContext({"lcp": 23})
-        controller = PrecisionController(ctx, {"lcp": 6},
-                                         surrogate={"lcp": 7})
-        # The optimistic prediction produced a violation: the reactive
-        # throttle must still snap to full precision.
-        controller.observe(0.5, step=0)
-        assert ctx.precision_for("lcp") == FULL_PRECISION
-        assert controller.violations == 1
+    def _search(self, scenario, phase):
+        stats = {}
+        bits = minimum_precision(scenario, phases=(phase,),
+                                 steps=self.STEPS, scale=self.SCALE,
+                                 stats=stats)
+        return bits, stats
 
-    def test_surrogate_none_prediction_falls_back_to_register(self):
-        ctx = FPContext({"lcp": 23, "narrow": 23})
-        PrecisionController(ctx, {"lcp": 6, "narrow": 9},
-                            surrogate={"lcp": 12})  # no narrow entry
-        assert ctx.precision_for("narrow") == 9
+    def test_minimum_of_one_is_a_single_probe(self, probes):
+        bits, stats = self._search("continuous", "lcp")
+        assert bits == 1
+        assert stats == {"bits": 1, "probes": 1}
+        assert probes == [("continuous", (("lcp", 1),))]
+
+    def test_probes_count_distinct_widths(self, probes):
+        bits, stats = self._search("deformable", "lcp")
+        assert bits > 1
+        assert stats["bits"] == bits
+        widths = [dict(precision)["lcp"] for _, precision in probes]
+        assert len(set(widths)) == len(widths), "a width ran twice"
+        assert stats["probes"] == len(widths) > 1
+        assert bits in widths and 1 in widths
+
+    def test_table1_probes_equal_simulated_widths(self, probes):
+        result = compute_table1(scenarios=["continuous"], steps=self.STEPS,
+                                scale=self.SCALE, use_cache=False,
+                                workers=1)
+        assert result.probes == len(probes) > 0
+        assert {scenario for scenario, _ in probes} == {"continuous"}
