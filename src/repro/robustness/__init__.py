@@ -9,7 +9,11 @@ precision.  This package grows that into a resilience layer:
   injection targeting the reduced mantissa datapath;
 - :mod:`~repro.robustness.guards` — phase-boundary invariant checks with
   structured violation records;
-- :mod:`~repro.robustness.recovery` — the checkpointed escalation ladder
+- :mod:`~repro.robustness.ladder` — the one recovery ladder (checkpoint,
+  attempt, full-precision retry, escalation, cooldown, controller feed)
+  that the precision controller, ``repro health`` and guarded served
+  sessions all compose;
+- :mod:`~repro.robustness.recovery` — ``repro health``'s composition
   (retry → rollback → quarantine → abort) and campaign harness;
 - :mod:`~repro.robustness.incidents` — deterministic incident log and the
   ``python -m repro health`` report.
@@ -26,12 +30,8 @@ from .checkpoint import (
 from .guards import GuardConfig, PhaseGuards, Violation
 from .incidents import HealthReport, Incident, IncidentLog
 from .injector import FaultEvent, FaultInjector
-from .recovery import (
-    GuardedSimulation,
-    RecoveryPolicy,
-    SimulationAborted,
-    run_campaign,
-)
+from .ladder import RecoveryLadder, RecoveryPolicy
+from .recovery import GuardedSimulation, SimulationAborted, run_campaign
 
 __all__ = [
     "CheckpointRing",
@@ -49,6 +49,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "GuardedSimulation",
+    "RecoveryLadder",
     "RecoveryPolicy",
     "SimulationAborted",
     "run_campaign",

@@ -1,61 +1,33 @@
-"""Guarded execution with a checkpointed escalation ladder.
+"""Guarded execution: ``repro health``'s composition of the ladder.
 
-The paper's single fail-safe — re-execute the previous step at full
-precision — is rung 0 of a four-rung ladder:
-
-0. **retry-full-precision** — rewind one step, re-execute with the
-   control registers forced to full precision and injection suppressed
-   (the paper's Section 4.2 fail-safe, now with a configurable retry
-   budget);
-1. **rollback-replay** — rewind up to N checkpointed steps and replay
-   them all at full precision (corruption that latched several steps ago,
-   e.g. a poisoned warm-start cache);
-2. **quarantine-island** — put the offending simulation island to sleep
-   permanently and keep the rest of the world running (graceful
-   degradation: a broken pile of crates must not take down the ragdoll
-   next to it);
-3. **abort** — controlled shutdown with a post-mortem report.
-
-Every successful recovery backs the pipeline off: the next
-``backoff_steps × (rung + 1)`` steps run at full precision with injection
-suspended before the precision controller is allowed to throttle back
-down.
+:class:`GuardedSimulation` steps a world under phase guards and an
+optional fault injector through the shared
+:class:`~repro.robustness.ladder.RecoveryLadder`.  Rung 0 is the paper's
+fail-safe (retry-full-precision); then come rollback-replay (rewind up to
+N checkpointed steps and replay them at full precision, for corruption
+that latched several steps ago), quarantine-island (sleep the offending
+island for good and keep the rest of the world running) and abort (a
+controlled shutdown with a post-mortem report).  After a rung-r recovery
+the next ``backoff_steps × (r + 1)`` steps run at full precision with
+injection suspended.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..fp.rounding import FULL_PRECISION
 from ..physics.island import islands_of
-from .checkpoint import CheckpointRing, capture_world, restore_world
+from .checkpoint import capture_world, restore_world
 from .guards import GuardConfig, PhaseGuards, Violation
 from .incidents import HealthReport, IncidentLog
 from .injector import FaultInjector
+from .ladder import RecoveryLadder, RecoveryPolicy, describe_failure
 
 __all__ = ["RecoveryPolicy", "SimulationAborted", "GuardedSimulation",
            "run_campaign", "campaign_summary"]
-
-
-@dataclass
-class RecoveryPolicy:
-    """Escalation-ladder tunables."""
-
-    #: rung-0 re-execution attempts before escalating
-    max_retries: int = 2
-    #: how many checkpointed steps rung 1 rewinds (0 disables rollback)
-    rollback_depth: int = 3
-    #: checkpoint ring size (must cover ``rollback_depth``)
-    checkpoint_depth: int = 8
-    #: full-precision cool-down steps after a rung-r recovery: r+1 times this
-    backoff_steps: int = 5
-    #: allow rung 2 (island quarantine)
-    quarantine_enabled: bool = True
 
 
 class SimulationAborted(RuntimeError):
@@ -73,27 +45,6 @@ class SimulationAborted(RuntimeError):
         lines.append("Incident history:")
         lines += [f"  {line}" for line in self.log.lines()]
         return "\n".join(lines)
-
-
-@contextmanager
-def _full_precision(ctx):
-    """Temporarily force every tuned phase to full mantissa width."""
-    saved = dict(ctx.phase_precision)
-    for phase in saved:
-        ctx.phase_precision[phase] = FULL_PRECISION
-    try:
-        yield
-    finally:
-        ctx.phase_precision.clear()
-        ctx.phase_precision.update(saved)
-
-
-def _summary(violations: Sequence[Violation]) -> str:
-    if not violations:
-        return "clean"
-    head = violations[0].describe()
-    extra = len(violations) - 1
-    return head if not extra else f"{head} (+{extra} more)"
 
 
 class GuardedSimulation:
@@ -139,13 +90,7 @@ class GuardedSimulation:
         self.policy = policy or RecoveryPolicy()
         self.log = log or IncidentLog()
         self.observer = observer
-        depth = max(self.policy.checkpoint_depth,
-                    self.policy.rollback_depth + 1)
-        self.ring = CheckpointRing(depth)
 
-        world.guards = self.guards
-        if injector is not None:
-            world.ctx.injector = injector
         if observer is not None:
             world.observer = observer
             self.log.observer = observer
@@ -153,144 +98,88 @@ class GuardedSimulation:
                 controller.observer = observer
 
         self.detections = 0
-        self.recoveries = 0
         self.detections_by_guard: Counter = Counter()
-        self.step_attempts = 0
         self.aborted = False
-        self._cooldown = 0
+        self.ladder = RecoveryLadder(
+            world, self.policy, guards=self.guards, injector=injector,
+            controller=controller,
+            rungs=(self._replay, self._quarantine, self._abort),
+            on_event=self._event)
+
+    @property
+    def recoveries(self) -> int:
+        return self.ladder.recoveries
+
+    @property
+    def step_attempts(self) -> int:
+        return self.ladder.attempts
 
     # ------------------------------------------------------------------
     def run(self, steps: int) -> None:
         for _ in range(steps):
-            self.step()
+            self.ladder.step()
 
     def step(self) -> None:
         """One guarded timestep: checkpoint, attempt, recover if needed."""
-        world = self.world
-        self.ring.push(capture_world(world))
-        if self.injector is not None:
-            self.injector.step = world.step_count
-        in_cooldown = self._cooldown > 0
-        violations = self._attempt(inject=not in_cooldown,
-                                   full_precision=in_cooldown)
-        if violations:
-            labels = world.island_labels
-            for v in violations:
-                self.detections += 1
-                self.detections_by_guard[v.guard] += 1
-                self.log.detection(v.step, v.phase, v.describe(),
-                                   tuple(islands_of(labels, v.bodies)))
-            self._recover(violations)
-        else:
-            self._observe(reexecuted=False)
-        if self._cooldown > 0:
-            self._cooldown -= 1
+        self.ladder.step()
 
-    # ------------------------------------------------------------------
-    def _attempt(self, inject: bool, full_precision: bool) -> List[Violation]:
-        """Execute one step under the given settings; return violations."""
-        world = self.world
-        self.step_attempts += 1
-        if self.injector is not None:
-            self.injector.enabled = inject
-        try:
-            # Injected NaN/Inf propagating through numpy is expected here;
-            # the guards catch it at the phase boundary, so keep the
-            # attempt quiet instead of spraying RuntimeWarnings.
-            with np.errstate(invalid="ignore", over="ignore",
-                             divide="ignore"):
-                if full_precision:
-                    with _full_precision(world.ctx):
-                        world.step()
-                else:
-                    world.step()
-        except Exception as exc:  # noqa: BLE001 — a crash is a fault symptom
-            self.guards._report(world.step_count, "step", "exception",
-                                f"{type(exc).__name__}: {exc}")
-        finally:
-            if self.injector is not None:
-                self.injector.enabled = True
-        return self.guards.drain()
-
-    def _observe(self, reexecuted: bool) -> None:
-        if self.controller is None:
+    def _event(self, step: int, rung: int, outcome: str, detail: str,
+               violations: List[Violation]) -> None:
+        if outcome != "detected":
+            self.log.recovery(step, rung, outcome, detail)
             return
-        diff = self.world.monitor.relative_step_difference()
-        self.controller.observe(diff, self.world.step_count - 1, reexecuted)
-        if reexecuted:
-            self.controller.reexecutions += 1
-
-    def _recovered(self, rung: int) -> None:
-        self.recoveries += 1
-        self._cooldown = max(self._cooldown,
-                             self.policy.backoff_steps * (rung + 1))
+        labels = self.world.island_labels
+        for v in violations:
+            self.detections += 1
+            self.detections_by_guard[v.guard] += 1
+            self.log.detection(v.step, v.phase, v.describe(),
+                               tuple(islands_of(labels, v.bodies)))
 
     # ------------------------------------------------------------------
-    def _recover(self, violations: List[Violation]) -> None:
-        world, policy = self.world, self.policy
-        failed_step = self.ring.latest().step_count
-
-        # Rung 0: the paper's fail-safe — re-execute at full precision.
-        for attempt in range(policy.max_retries):
-            restore_world(world, self.ring.latest())
-            retry = self._attempt(inject=False, full_precision=True)
-            if not retry:
-                self.log.recovery(failed_step, 0, "recovered",
-                                  f"attempt {attempt + 1}")
-                self._recovered(0)
-                self._observe(reexecuted=True)
-                return
-            violations = retry
-            self.log.recovery(failed_step, 0, "failed", _summary(retry))
-
-        # Rung 1: rewind N checkpointed steps and replay at full precision.
-        if policy.rollback_depth > 0:
-            target = self.ring.rollback_target(policy.rollback_depth)
-            if target is not None and target.step_count < failed_step:
-                restore_world(world, target)
-                self.ring.truncate_after(target.step_count)
-                replay_ok = True
-                while world.step_count <= failed_step:
-                    self.ring.push(capture_world(world))
-                    replay = self._attempt(inject=False, full_precision=True)
-                    if replay:
-                        violations = replay
-                        replay_ok = False
-                        break
-                if replay_ok:
-                    self.log.recovery(
-                        failed_step, 1, "recovered",
-                        f"replayed from step {target.step_count}")
-                    self._recovered(1)
-                    self._observe(reexecuted=True)
-                    return
+    def _replay(self, violations: List[Violation]) -> List[Violation]:
+        """Rung 1: rewind N checkpointed steps, replay at full precision."""
+        world, ring = self.world, self.ladder.ring
+        failed_step = self.ladder.failed_step
+        target = ring.rollback_target(self.policy.rollback_depth)
+        if target is None or target.step_count >= failed_step:
+            return violations
+        restore_world(world, target)
+        ring.truncate_after(target.step_count)
+        while world.step_count <= failed_step:
+            ring.push(capture_world(world))
+            replay = self.ladder.reexecute()
+            if replay:
                 self.log.recovery(failed_step, 1, "failed",
-                                  _summary(violations))
+                                  describe_failure(replay))
+                return replay
+        self.log.recovery(failed_step, 1, "recovered",
+                          f"replayed from step {target.step_count}")
+        return []
 
-        # Rung 2: quarantine the offending island(s), keep the rest alive.
-        islands = tuple(islands_of(
-            world.island_labels,
-            (b for v in violations for b in v.bodies)))
-        if policy.quarantine_enabled and islands:
-            checkpoint = self.ring.latest()
-            restore_world(world, checkpoint)
-            members = world.quarantine_islands(islands)
-            verify = self._attempt(inject=False, full_precision=True)
-            if not verify:
-                self.log.recovery(
-                    checkpoint.step_count, 2, "recovered",
-                    f"slept {len(members)} body(ies)", islands)
-                self._recovered(2)
-                self._observe(reexecuted=True)
-                return
-            violations = verify
+    def _quarantine(self, violations: List[Violation]) -> List[Violation]:
+        """Rung 2: quarantine the offending island(s), keep the rest."""
+        world = self.world
+        islands = tuple(islands_of(world.island_labels,
+                                   (b for v in violations for b in v.bodies)))
+        if not islands:
+            return violations
+        checkpoint = self.ladder.ring.latest()
+        restore_world(world, checkpoint)
+        members = world.quarantine_islands(islands)
+        verify = self.ladder.reexecute()
+        if verify:
             self.log.recovery(checkpoint.step_count, 2, "failed",
-                              _summary(verify), islands)
+                              describe_failure(verify), islands)
+            return verify
+        self.log.recovery(checkpoint.step_count, 2, "recovered",
+                          f"slept {len(members)} body(ies)", islands)
+        return []
 
-        # Rung 3: controlled abort with a post-mortem.
+    def _abort(self, violations: List[Violation]) -> List[Violation]:
+        """Rung 3: controlled abort with a post-mortem."""
         self.aborted = True
-        incident = self.log.recovery(failed_step, 3, "aborted",
-                                     _summary(violations))
+        incident = self.log.recovery(self.ladder.failed_step, 3, "aborted",
+                                     describe_failure(violations))
         raise SimulationAborted(incident.detail, self.log, violations)
 
     # ------------------------------------------------------------------

@@ -19,7 +19,10 @@ checkpoint, then (1) rolled back to the session's last journal entry
 (the client gets a structured ``session_degraded`` response carrying
 the step it resumed at), then (2) quarantined with a ``session_lost``
 response — instead of poisoning the batch or tearing down the
-connection.  The :class:`SessionManager` pairs with a
+connection.  These are rungs of the shared
+:class:`~repro.robustness.ladder.RecoveryLadder`, so a recovery buys
+the same cooldown as everywhere: the next ``5 × (rung + 1)`` steps.
+The :class:`SessionManager` pairs with a
 :class:`~repro.serve.resilience.JournalStore` so every session is
 reconstructible after a crash, and can *respawn* a session whose
 worker thread is stuck from its last journaled checkpoint.
@@ -41,17 +44,21 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..fp.context import FPContext
 from ..robustness.checkpoint import (
-    CheckpointRing,
     capture_world,
     deserialize_checkpoint,
     restore_world,
     serialize_checkpoint,
 )
-from ..robustness.recovery import _full_precision
+from ..robustness.guards import PhaseGuards
+from ..robustness.injector import FaultInjector
+from ..robustness.ladder import (
+    RecoveryLadder,
+    RecoveryPolicy,
+    describe_failure,
+)
+from ..tuning import ControlledSimulation, PrecisionController
 from ..workloads import build
 from .protocol import ServiceError
 from .resilience import SessionDegraded, SessionLost, recover_sessions
@@ -60,9 +67,6 @@ __all__ = ["SessionConfig", "Session", "SessionManager", "state_digest"]
 
 #: Snapshots retained per session before the oldest is dropped.
 MAX_SNAPSHOTS = 8
-
-#: Full-precision cool-down steps after a rung-r recovery: (r+1) times.
-LADDER_BACKOFF_STEPS = 5
 
 _SESSION_ID = re.compile(r"^s(\d+)$")
 
@@ -133,6 +137,16 @@ class SessionConfig:
             if value is not None and not isinstance(value, (int, float)):
                 raise ServiceError("bad_request",
                                    f"'{name}' must be a number")
+        # A zero budget evicts on the first step, a zero deadline trips
+        # the ladder on every step, and a negative sleep raises inside it.
+        for name in ("step_budget", "step_deadline"):
+            value = frame.get(name)
+            if value is not None and not value > 0:
+                raise ServiceError("bad_request",
+                                   f"'{name}' must be > 0")
+        value = frame.get("chaos_slow_s")
+        if value is not None and not value >= 0:
+            raise ServiceError("bad_request", "'chaos_slow_s' must be >= 0")
         if not allow_chaos and (frame.get("inject_rate")
                                 or frame.get("chaos_slow_every")):
             raise ServiceError(
@@ -197,8 +211,6 @@ class Session:
     """One live simulation: world + per-session precision control."""
 
     def __init__(self, session_id: str, config: SessionConfig) -> None:
-        from ..tuning import ControlledSimulation, PrecisionController
-
         self.id = session_id
         self.config = config
         ctx = FPContext(dict(config.precision), mode=config.mode,
@@ -208,27 +220,32 @@ class Session:
         self.world = build(config.scenario, ctx=ctx, scale=config.scale,
                            seed=config.seed)
         self.controller = None
-        self._sim = None
         if config.adaptive and config.precision:
             self.controller = PrecisionController(ctx,
                                                   dict(config.precision))
-            self._sim = ControlledSimulation(self.world, self.controller)
         self.guards = None
         self.injector = None
-        self.ring: Optional[CheckpointRing] = None
+        #: steps this session; None steps the bare world
+        self.ladder: Optional[RecoveryLadder] = None
         if config.guarded or config.inject_rate > 0:
-            from ..robustness.guards import PhaseGuards
-            from ..robustness.injector import FaultInjector
-
             self.guards = PhaseGuards()
-            self.world.guards = self.guards
             if config.inject_rate > 0:
                 self.injector = FaultInjector(rate=config.inject_rate,
                                               seed=config.seed or 0)
-                self.world.ctx.injector = self.injector
-            # Depth 2: rung 0 only needs the pre-step boundary; deeper
-            # history lives in the journal.
-            self.ring = CheckpointRing(2)
+            # One retry, then the journal (not a checkpoint ring) is the
+            # rung-1 rollback target.
+            self.ladder = RecoveryLadder(
+                self.world,
+                RecoveryPolicy(max_retries=1, rollback_depth=0),
+                guards=self.guards, injector=self.injector,
+                controller=self.controller,
+                trigger=(self._deadline
+                         if config.step_deadline is not None else None),
+                rungs=(self._rollback, self._quarantine),
+                on_event=self._event)
+        elif self.controller is not None:
+            self.ladder = ControlledSimulation(self.world,
+                                               self.controller).ladder
         self.state = "active"
         self.steps_run = 0
         self._snapshots: "OrderedDict[str, bytes]" = OrderedDict()
@@ -239,8 +256,9 @@ class Session:
         self.steps_since_journal = 0
         self.recovery_count = 0
         self._recovery_events: List[dict] = []
-        self._cooldown = 0
         self._chaos_counter = 0
+        self._slept = 0.0
+        self._detected_at = 0.0
 
     # ------------------------------------------------------------------
     def step(self, steps: int = 1) -> dict:
@@ -250,16 +268,14 @@ class Session:
                                f"session {self.id} is {self.state}")
         if self.guards is not None:
             for _ in range(steps):
-                self._guarded_step()
+                self._chaos_delay()
+                self.ladder.step()
                 self.steps_run += 1
                 self.steps_since_journal += 1
-        elif self._sim is not None:
-            self._sim.run(steps)
-            self.steps_run += steps
-            self.steps_since_journal += steps
         else:
+            stepper = self.world if self.ladder is None else self.ladder
             for _ in range(steps):
-                self.world.step()
+                stepper.step()
             self.steps_run += steps
             self.steps_since_journal += steps
         return self.describe()
@@ -305,117 +321,61 @@ class Session:
     # ------------------------------------------------------------------
     # The server-side recovery ladder (guarded sessions)
     # ------------------------------------------------------------------
-    def _guarded_step(self) -> None:
-        """One guarded timestep: checkpoint, attempt, ladder on failure."""
-        world = self.world
-        self.ring.push(capture_world(world))
-        if self.injector is not None:
-            self.injector.step = world.step_count
-        in_cooldown = self._cooldown > 0
-        if in_cooldown:
-            self._cooldown -= 1
-        failure = self._attempt(full_precision=in_cooldown,
-                                inject=not in_cooldown, primary=True)
-        if failure is None:
-            self._observe(reexecuted=False)
-            return
-
+    def _chaos_delay(self) -> None:
+        """Fault drill: sleep before every Nth step; the deadline counts it."""
+        self._chaos_counter += 1
+        every = self.config.chaos_slow_every
         start = time.perf_counter()
-        failed_step = self.ring.latest().step_count
-        # Rung 0: the paper's fail-safe — re-execute at full precision
-        # from the pre-step checkpoint, injection suppressed.
-        restore_world(world, self.ring.latest())
-        retry = self._attempt(full_precision=True, inject=False,
-                              primary=False)
-        if retry is None:
-            self._recovered(0, "recovered", failure, start, failed_step)
-            self._observe(reexecuted=True)
-            return
+        if every > 0 and self._chaos_counter % every == 0:
+            time.sleep(self.config.chaos_slow_s)
+        self._slept = time.perf_counter() - start
 
-        # Rung 1: roll back to the last journal entry; the client is
-        # told the step it resumed at and owns the replay.
-        if self._last_journal is not None:
-            checkpoint, journal_step, state = self._last_journal
-            world.bodies.ensure_world_row()
-            restore_world(world, checkpoint)
-            self.ring = CheckpointRing(2)
-            self._recovered(1, "degraded", retry, start, journal_step)
-            raise SessionDegraded(
-                self.id, journal_step,
-                f"rolled back to journaled step {journal_step} "
-                f"after: {retry}")
-
-        # Rung 2: quarantine the session instead of poisoning the batch.
-        self.state = "quarantined"
-        self._recovered(2, "lost", retry, start, failed_step)
-        raise SessionLost(self.id, f"ladder exhausted: {retry}")
-
-    def _attempt(self, full_precision: bool, inject: bool,
-                 primary: bool) -> Optional[str]:
-        """Execute one step; return a failure description or ``None``.
-
-        ``primary`` distinguishes the first attempt (chaos delays apply,
-        the soft deadline is enforced) from ladder retries (neither —
-        a retry must be able to make progress).
-        """
-        world = self.world
-        if self.injector is not None:
-            self.injector.enabled = inject
-        start = time.perf_counter()
-        if primary and self.config.chaos_slow_every > 0:
-            self._chaos_counter += 1
-            if self._chaos_counter % self.config.chaos_slow_every == 0:
-                time.sleep(self.config.chaos_slow_s)
-        try:
-            # Injected NaN/Inf propagating through numpy is expected —
-            # the guards catch it at the phase boundary.
-            with np.errstate(invalid="ignore", over="ignore",
-                             divide="ignore"):
-                if full_precision:
-                    with _full_precision(world.ctx):
-                        world.step()
-                else:
-                    world.step()
-        except Exception as exc:  # noqa: BLE001 - a crash is a symptom
-            self.guards._report(world.step_count, "step", "exception",
-                                f"{type(exc).__name__}: {exc}")
-        finally:
-            if self.injector is not None:
-                self.injector.enabled = True
-        elapsed = time.perf_counter() - start
-        violations = self.guards.drain()
-        if violations:
-            head = violations[0].describe()
-            extra = len(violations) - 1
-            return head if not extra else f"{head} (+{extra} more)"
+    def _deadline(self, primary: bool, elapsed: float) -> List[str]:
+        """Trigger: a first attempt ran long (a retry must make progress)."""
+        elapsed += self._slept
         deadline = self.config.step_deadline
-        if primary and deadline is not None and elapsed > deadline:
-            return (f"step deadline exceeded "
-                    f"({elapsed:.4f}s > {deadline:.4f}s)")
-        return None
+        if primary and elapsed > deadline:
+            return [f"step deadline exceeded "
+                    f"({elapsed:.4f}s > {deadline:.4f}s)"]
+        return []
 
-    def _observe(self, reexecuted: bool) -> None:
-        if self.controller is None:
-            return
-        diff = self.world.monitor.relative_step_difference()
-        self.controller.observe(diff, self.world.step_count - 1,
-                                reexecuted)
-        if reexecuted:
-            self.controller.reexecutions += 1
+    def _rollback(self, failure: list) -> list:
+        """Rung 1: roll back to the last journal entry; the client is
+        told the step it resumed at and owns the replay."""
+        if self._last_journal is None:
+            return failure
+        checkpoint, journal_step, _ = self._last_journal
+        self.world.bodies.ensure_world_row()
+        restore_world(self.world, checkpoint)
+        self.ladder.recovered(1)
+        self._event(journal_step, 1, "degraded", "", failure)
+        raise SessionDegraded(
+            self.id, journal_step,
+            f"rolled back to journaled step {journal_step} "
+            f"after: {describe_failure(failure)}")
 
-    def _recovered(self, rung: int, outcome: str, reason: str,
-                   start: float, step: int) -> None:
-        self.recovery_count += 1
-        self._cooldown = max(self._cooldown,
-                             LADDER_BACKOFF_STEPS * (rung + 1))
-        self._recovery_events.append({
-            "session": self.id,
-            "rung": rung,
-            "outcome": outcome,
-            "reason": reason,
-            "wall": time.perf_counter() - start,
-            "step": step,
-        })
+    def _quarantine(self, failure: list) -> list:
+        """Rung 2: quarantine the session instead of poisoning the batch."""
+        self.state = "quarantined"
+        self._event(self.ladder.failed_step, 2, "lost", "", failure)
+        raise SessionLost(self.id,
+                          f"ladder exhausted: {describe_failure(failure)}")
+
+    def _event(self, step: int, rung: int, outcome: str, detail: str,
+               failure: list) -> None:
+        """Record a ladder transition for the scheduler to drain."""
+        if outcome == "detected":
+            self._detected_at = time.perf_counter()
+        elif outcome != "failed":  # a failed retry escalates; no event
+            self.recovery_count += 1
+            self._recovery_events.append({
+                "session": self.id,
+                "rung": rung,
+                "outcome": outcome,
+                "reason": describe_failure(failure),
+                "wall": time.perf_counter() - self._detected_at,
+                "step": step,
+            })
 
     def drain_recovery_events(self) -> List[dict]:
         """Hand recorded ladder transitions to the scheduler (post-batch,

@@ -13,7 +13,8 @@ Hardware/software co-design, modelled end to end:
 * Fail-safe: if the simulation blows up without warning, the previous
   step is re-executed at full precision ("functional correctness is
   maintained by re-executing the previous simulation step at full
-  precision").
+  precision").  :class:`ControlledSimulation` runs it as rung 0 of the
+  shared :class:`~repro.robustness.ladder.RecoveryLadder`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from ..fp.context import FPContext
 from ..fp.rounding import FULL_PRECISION
-from ..robustness.checkpoint import capture_world, restore_world
+from ..robustness.ladder import RecoveryLadder, RecoveryPolicy
 
 __all__ = ["PrecisionController", "ControlledSimulation"]
 
@@ -125,61 +126,38 @@ class PrecisionController:
 
 
 class ControlledSimulation:
-    """Couples a world to a controller, with the re-execution fail-safe."""
+    """Couples a world to a controller, with the re-execution fail-safe.
+
+    A blow-up (non-finite bodies, or an energy difference above
+    ``blowup_threshold``) re-executes the step once at full precision;
+    the retried step stands even if it blows up again.
+    """
 
     def __init__(self, world, controller: PrecisionController) -> None:
         self.world = world
         self.controller = controller
+        # No cooldown: the controller's throttle-and-decay is the paper's.
+        self.ladder = RecoveryLadder(
+            world,
+            RecoveryPolicy(max_retries=1, rollback_depth=0,
+                           backoff_steps=0),
+            controller=controller, trigger=self._blew_up)
 
-    # ------------------------------------------------------------------
-    def _snapshot(self):
-        """Capture world state via the shared checkpoint utility.
-
-        Delegates to :mod:`repro.robustness.checkpoint` — the single
-        source of truth for world-state capture (bodies, cloth, energy
-        records, the injection ledger, and the warm-start cache).
-        """
-        return capture_world(self.world)
-
-    def _restore(self, snapshot) -> None:
-        restore_world(self.world, snapshot)
-
-    # ------------------------------------------------------------------
-    def _blew_up(self, diff: Optional[float]) -> bool:
-        bodies = self.world.bodies
-        n = bodies.count
-        if n and not (
-            np.isfinite(bodies.pos[:n]).all()
-            and np.isfinite(bodies.linvel[:n]).all()
-        ):
-            return True
-        return diff is not None and diff > self.controller.blowup_threshold
+    def _blew_up(self, primary: bool, elapsed: float) -> List[str]:
+        """Trigger: non-finite bodies, or an energy jump past the
+        controller's ``blowup_threshold``."""
+        bodies, n = self.world.bodies, self.world.bodies.count
+        finite = not n or (np.isfinite(bodies.pos[:n]).all()
+                           and np.isfinite(bodies.linvel[:n]).all())
+        diff = self.world.monitor.relative_step_difference()
+        jumped = diff is not None and diff > self.controller.blowup_threshold
+        return [] if finite and not jumped else [
+            f"blow-up (relative energy difference {diff})"]
 
     def step(self) -> None:
         """One timestep with quality monitoring and the fail-safe."""
-        snapshot = self._snapshot()
-        self.world.step()
-        diff = self.world.monitor.relative_step_difference()
-        reexecuted = False
-
-        if self._blew_up(diff):
-            # Fail-safe: rewind and redo this step at full precision.
-            self._restore(snapshot)
-            saved = dict(self.controller.ctx.phase_precision)
-            for phase in self.controller.register:
-                self.controller.ctx.set_precision(phase, FULL_PRECISION)
-            self.world.step()
-            # Restore through set_precision so the range validation
-            # applies (a raw dict update would bypass it).
-            for phase, bits in saved.items():
-                self.controller.ctx.set_precision(phase, bits)
-            diff = self.world.monitor.relative_step_difference()
-            reexecuted = True
-            self.controller.reexecutions += 1
-
-        self.controller.observe(diff, self.world.step_count - 1,
-                                reexecuted)
+        self.ladder.step()
 
     def run(self, steps: int) -> None:
         for _ in range(steps):
-            self.step()
+            self.ladder.step()

@@ -13,6 +13,8 @@ from repro.robustness import (
     PhaseGuards,
     RecoveryPolicy,
     SimulationAborted,
+    capture_world,
+    restore_world,
 )
 from repro.tuning import ControlledSimulation, PrecisionController
 
@@ -83,11 +85,11 @@ class TestControllerFailSafe:
         world, controller, sim = self._sim({"lcp": 8})
         for _ in range(5):
             world.step()
-        snapshot = sim._snapshot()
+        snapshot = capture_world(world)
         pos_before = world.bodies.pos[:1].copy()
         world.step()
         world.monitor.measure(world, 99)  # extra record to pop
-        sim._restore(snapshot)
+        restore_world(world, snapshot)
         assert np.array_equal(world.bodies.pos[:1], pos_before)
         assert world.step_count == 5
 

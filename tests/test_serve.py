@@ -1,5 +1,6 @@
 """Tests for the multi-session simulation service (``repro.serve``)."""
 
+import asyncio
 import base64
 import threading
 
@@ -15,6 +16,7 @@ from repro.serve import (
     ServiceConfig,
     ProtocolError,
     ServiceError,
+    SimulationService,
     decode_frame,
     encode_frame,
     render_serve_summary,
@@ -126,6 +128,23 @@ class TestSessionConfig:
         config = SessionConfig.from_frame(
             {"scenario": "continuous", "step_budget": 2})
         assert config.step_budget == 2.0
+
+
+class TestCreateValidation:
+    """``create`` refuses ladder fields that would break the ladder."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("step_deadline", 0), ("step_budget", 0), ("step_budget", -5),
+        ("chaos_slow_s", -1)])
+    def test_bad_request_names_the_field(self, field, value):
+        service = SimulationService(ServiceConfig(allow_chaos=True))
+        frame = {"op": "create", "scenario": "continuous", "scale": 0.4,
+                 "guarded": True, "chaos_slow_every": 1, field: value}
+        reply = asyncio.run(service.handle_request(frame))
+        assert reply["ok"] is False
+        assert reply["error"] == "bad_request"
+        assert field in reply["detail"]
+        assert len(service.manager) == 0
 
 
 class TestSessionManager:

@@ -194,6 +194,33 @@ class TestControlledSimulation:
         assert controller.current_precision("lcp") == FULL_PRECISION - 4
 
 
+class TestThresholdAblationFailSafe:
+    """The fail-safe where a blow-up really fires: explosions at 10 %.
+
+    Both retries still exceed ``blowup_threshold``, so this pins that the
+    retried step stands, with one retry and no cooldown.
+    """
+
+    def test_counts_and_reexecuted_steps(self, monkeypatch):
+        from repro.experiments import ablation
+
+        controllers = []
+
+        class Recording(PrecisionController):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                controllers.append(self)
+
+        monkeypatch.setattr(ablation, "PrecisionController", Recording)
+        (result,) = ablation.threshold_ablation(thresholds=(0.10,))
+        assert result.violations == 7
+        assert result.reexecutions == 2
+        assert result.mean_lcp_precision == pytest.approx(613 / 60)
+        (controller,) = controllers
+        assert [log.step for log in controller.history
+                if log.reexecuted] == [52, 53]
+
+
 class TestObserveSequences:
     """Explicit action sequences through the controller state machine."""
 
