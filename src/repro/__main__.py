@@ -649,6 +649,7 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from .serve import ServiceConfig, serve_forever
+    from .serve.frontend import ListenError
 
     # Refuse, rather than silently drop, flags the chosen topology never
     # reads.  Shards run ServiceConfig defaults for the fields
@@ -680,7 +681,7 @@ def _cmd_serve(args) -> int:
     if args.shards:
         from .serve import GatewayConfig, gateway_forever
 
-        gateway_config = GatewayConfig(
+        run = gateway_forever(GatewayConfig(
             host=args.host,
             port=args.port,
             unix_path=args.unix,
@@ -693,39 +694,33 @@ def _cmd_serve(args) -> int:
             journal_every=args.journal_every,
             drain_grace=args.drain_grace,
             allow_chaos=args.allow_chaos,
-            trace_path=args.trace,
-        )
-        try:
-            asyncio.run(gateway_forever(gateway_config,
-                                        observer=observer))
-        except KeyboardInterrupt:
-            print("repro-serve: shutting down")
-        finally:
-            if observer is not None:
-                observer.close()
-        return 0
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        unix_path=args.unix,
-        max_sessions=args.max_sessions,
-        workers=args.workers,
-        batch_window=args.batch_window,
-        max_pending_per_session=args.max_pending,
-        max_queue_depth=args.max_queue,
-        step_budget=args.step_budget,
-        trace_path=args.trace,
-        journal_dir=args.journal_dir,
-        journal_every=args.journal_every,
-        drain_grace=args.drain_grace,
-        allow_chaos=args.allow_chaos,
-        fleet_step=not args.no_fleet_step,
-    )
+        ), observer=observer)
+    else:
+        run = serve_forever(ServiceConfig(
+            host=args.host,
+            port=args.port,
+            unix_path=args.unix,
+            max_sessions=args.max_sessions,
+            workers=args.workers,
+            batch_window=args.batch_window,
+            max_pending_per_session=args.max_pending,
+            max_queue_depth=args.max_queue,
+            step_budget=args.step_budget,
+            journal_dir=args.journal_dir,
+            journal_every=args.journal_every,
+            drain_grace=args.drain_grace,
+            allow_chaos=args.allow_chaos,
+            fleet_step=not args.no_fleet_step,
+        ), observer=observer)
     try:
-        asyncio.run(serve_forever(config, observer=observer))
+        asyncio.run(run)
     except KeyboardInterrupt:
         print("repro-serve: shutting down")
+    except ListenError as exc:
+        # A busy port or bad socket path is a one-line usage failure;
+        # the run loop has already stopped the front end (and shards).
+        print(f"error: repro serve {exc}", file=sys.stderr)
+        return 1
     finally:
         if observer is not None:
             observer.close()

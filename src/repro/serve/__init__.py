@@ -23,11 +23,15 @@ Layers:
 * :mod:`~repro.serve.resilience` — per-session snapshot journals,
   digest-verified restart recovery, and the degraded/lost outcomes of
   the server-side recovery ladder;
-* :mod:`~repro.serve.server` — the asyncio TCP/UNIX service (graceful
-  drain, journal recovery on start, idempotent request replay);
+* :mod:`~repro.serve.frontend` — ``FrameServer``, the one NDJSON
+  front end both the service and the gateway run on: listener,
+  framing, dispatch, accounting, drain, and the signal run loop;
+* :mod:`~repro.serve.server` — the single-process service (journal
+  recovery on start, idempotent request replay, a drain that journals
+  every session);
 * :mod:`~repro.serve.client` — the thin synchronous ``Client``, the
-  retrying/reconnecting ``ResilientClient``, and the in-thread server
-  harness;
+  retrying/reconnecting ``ResilientClient``, and the one in-thread
+  harness (``ServerHandle``) for the service and the gateway;
 * :mod:`~repro.serve.bench` — the ``repro serve-bench`` load harness
   and its ``--chaos`` fault drill;
 * :mod:`~repro.serve.shard` — the scale-out topology: a client-facing
@@ -37,7 +41,7 @@ Layers:
 
 Everything is observable: requests, batches, evictions, recoveries,
 and drains count through :mod:`repro.obs.metrics`, and with a tracer
-attached they stream as schema-v3 ``serve.*`` events on the same JSONL
+attached they stream as schema-v6 ``serve.*`` events on the same JSONL
 timeline as the step telemetry.
 """
 
@@ -78,7 +82,6 @@ from .session import Session, SessionConfig, SessionManager, state_digest
 # Imported last: shard modules import from .server/.client above.
 from .shard import (
     GatewayConfig,
-    GatewayHandle,
     HashRing,
     ShardGateway,
     ShardProcess,
@@ -96,7 +99,6 @@ __all__ = [
     "ConnectionLost",
     "ERROR_CODES",
     "GatewayConfig",
-    "GatewayHandle",
     "HashRing",
     "JournalStore",
     "MAX_FRAME_BYTES",

@@ -279,13 +279,13 @@ def _run_chaos_bench(config: ServeBenchConfig) -> dict:
             time.perf_counter() < deadline:
         time.sleep(0.01)
     old = holder["handle"]
-    sessions_at_crash = len(old.service.manager)
+    sessions_at_crash = len(old.frontend.manager)
     old.stop()
     restart_start = time.perf_counter()
     new_handle = start_in_thread(service_config(), observer=tracer)
     restart_wall = time.perf_counter() - restart_start
     holder["handle"] = new_handle
-    recovered = list(new_handle.service.recovered)
+    recovered = list(new_handle.frontend.recovered)
 
     for thread in threads:
         thread.join(timeout=180.0)
@@ -437,7 +437,7 @@ def _migration_probe(handle, probe, mig: str, ctrl: str,
     probe.step(mig, 5)
     probe.step(ctrl, 5)
     for _ in range(migrations):
-        moved = handle.run(handle.gateway.migrate(mig))
+        moved = handle.run(handle.frontend.migrate(mig))
         digest_mig = probe.step(mig, 20)["digest"]
         digest_ctrl = probe.step(ctrl, 20)["digest"]
         identical = identical and digest_mig == digest_ctrl
@@ -524,7 +524,7 @@ def _run_service_load(config: ServeBenchConfig,
         fidelity = _fidelity_check(handle, config)
         with handle.connect() as client:
             stats = client.stats()
-        workers = handle.service.scheduler.workers
+        workers = handle.frontend.scheduler.workers
     finally:
         handle.stop()
 

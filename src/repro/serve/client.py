@@ -26,16 +26,19 @@ server on a new port is transparent), and resume-from-last-acked-step
 replays the gap so the caller-observed step counter never goes
 backwards.
 
-:func:`start_in_thread` runs a full :class:`SimulationService` on a
-background event-loop thread and returns a handle with the bound
-address — the serve-bench harness, the tests, and the CI smoke job all
-drive a real socket through it.
+:func:`run_in_thread` runs a front end — a :class:`SimulationService`
+through :func:`start_in_thread`, a sharded gateway through
+:func:`~repro.serve.shard.gateway.start_gateway_in_thread` — on a
+background event-loop thread and returns a :class:`ServerHandle` with
+the bound address; the serve-bench harness, the tests, and the CI smoke
+job all drive a real socket through it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import itertools
 import random
 import socket
@@ -44,12 +47,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Union
 
+from .frontend import FrameServer
 from .protocol import decode_frame, encode_frame
 from .server import ServiceConfig, SimulationService
 
 __all__ = ["ServeClientError", "ClientTimeoutError", "ConnectionLost",
            "Client", "RetryPolicy", "ResilientClient", "ServerHandle",
-           "start_in_thread"]
+           "run_in_thread", "start_in_thread"]
 
 
 class ServeClientError(RuntimeError):
@@ -422,15 +426,16 @@ class ResilientClient:
 
 
 class ServerHandle:
-    """A service running on a background event-loop thread."""
+    """A front end (service or gateway) on a background event-loop
+    thread; ``frontend`` is the running :class:`FrameServer`."""
 
-    def __init__(self, service: SimulationService,
+    def __init__(self, frontend: FrameServer,
                  loop: asyncio.AbstractEventLoop,
                  thread: threading.Thread) -> None:
-        self.service = service
+        self.frontend = frontend
         self._loop = loop
         self._thread = thread
-        address = service.address
+        address = frontend.address
         if isinstance(address, str):
             self.unix_path: Optional[str] = address
             self.host = self.port = None
@@ -448,49 +453,46 @@ class ServerHandle:
             return {"unix_path": self.unix_path}
         return {"host": self.host, "port": self.port}
 
-    def drain(self, timeout: float = 30.0) -> dict:
-        """Graceful shutdown: journals flushed, batches completed."""
-        summary = asyncio.run_coroutine_threadsafe(
-            self.service.drain(), self._loop).result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+    def run(self, coro, timeout: float = 120.0):
+        """Run a coroutine on the front end's loop (admin helpers)."""
+        return asyncio.run_coroutine_threadsafe(
+            coro, self._loop).result(timeout)
+
+    def drain(self, timeout: float = 60.0) -> dict:
+        """Graceful shutdown; returns the drain summary."""
+        summary = self.run(self.frontend.drain(), timeout)
+        self._end_loop(timeout)
         return summary
 
-    def stop(self, timeout: float = 10.0) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.service.stop(), self._loop).result(timeout)
+    def stop(self, timeout: float = 60.0) -> None:
+        self.run(self.frontend.stop(), timeout)
+        self._end_loop(timeout)
+
+    def _end_loop(self, timeout: float) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)
 
 
-def start_in_thread(config: Optional[ServiceConfig] = None,
-                    observer=None,
-                    timeout: float = 30.0) -> ServerHandle:
-    """Start a service on its own thread; returns once it is bound.
-
-    Pass ``port=0`` (the default via ``ServiceConfig``) to bind an
-    ephemeral TCP port, or ``unix_path`` for a socket file.
-    """
-    config = config or ServiceConfig(port=0)
+def run_in_thread(frontend: FrameServer,
+                  timeout: float = 30.0) -> ServerHandle:
+    """Start ``frontend`` on its own event-loop thread; returns once it
+    is bound.  A front end whose start fails is stopped before the
+    error is raised here."""
     ready = threading.Event()
     box: dict = {}
 
     def _run() -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
-        service = SimulationService(config, observer=observer)
-
-        async def _start() -> None:
-            await service.start()
-
         try:
-            loop.run_until_complete(_start())
+            loop.run_until_complete(frontend.start())
         except Exception as exc:  # noqa: BLE001 - surfaced to caller
             box["error"] = exc
-            ready.set()
+            with contextlib.suppress(Exception):
+                loop.run_until_complete(frontend.stop())
             loop.close()
+            ready.set()
             return
-        box["service"] = service
         box["loop"] = loop
         ready.set()
         try:
@@ -502,7 +504,19 @@ def start_in_thread(config: Optional[ServiceConfig] = None,
                               daemon=True)
     thread.start()
     if not ready.wait(timeout):
-        raise TimeoutError("service did not start in time")
+        raise TimeoutError("front end did not start in time")
     if "error" in box:
         raise box["error"]
-    return ServerHandle(box["service"], box["loop"], thread)
+    return ServerHandle(frontend, box["loop"], thread)
+
+
+def start_in_thread(config: Optional[ServiceConfig] = None,
+                    observer=None,
+                    timeout: float = 30.0) -> ServerHandle:
+    """Start a service on its own thread; returns once it is bound.
+
+    Pass ``port=0`` (the default via ``ServiceConfig``) to bind an
+    ephemeral TCP port, or ``unix_path`` for a socket file.
+    """
+    return run_in_thread(SimulationService(config or ServiceConfig(port=0),
+                                           observer=observer), timeout)

@@ -273,7 +273,6 @@ class JournalStore:
         self._journals: Dict[str, SessionJournal] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-journal")
-        self.appends_scheduled = 0
         self.append_errors = 0
 
     # ------------------------------------------------------------------
@@ -298,7 +297,6 @@ class JournalStore:
                 # the session itself keeps running.
                 self.append_errors += 1
 
-        self.appends_scheduled += 1
         self._executor.submit(_guarded)
 
     # ------------------------------------------------------------------

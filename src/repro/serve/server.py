@@ -6,10 +6,11 @@
 a :class:`~repro.serve.scheduler.BatchScheduler` (fixed-tick dispatch
 over a worker pool), and an optional
 :class:`~repro.serve.resilience.JournalStore` (crash durability) —
-and speaks the :mod:`~repro.serve.protocol` over TCP or a UNIX socket.
-Every request is counted through :mod:`repro.obs.metrics` and, when a
-tracer is attached, streamed as schema-v3 ``serve.*`` events alongside
-the ordinary step telemetry.
+and speaks the :mod:`~repro.serve.protocol` over TCP or a UNIX socket
+through the shared :class:`~repro.serve.frontend.FrameServer`.  Every
+request is counted through :mod:`repro.obs.metrics` and, when a tracer
+is attached, streamed as schema-v6 ``serve.*`` events alongside the
+ordinary step telemetry.
 
 Ops that touch a session's world (``step``, ``snapshot``, ``restore``)
 are serialized through the scheduler so they always observe a step
@@ -37,27 +38,19 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
-import signal
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..robustness.incidents import IncidentLog
-from ..workloads import UnknownScenarioError
 from .admission import AdmissionController, AdmissionPolicy
+from .frontend import FrameServer
 from .protocol import (
     GATEWAY_OPS,
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    ProtocolError,
     ServiceError,
-    decode_frame,
-    encode_frame,
-    error_response,
     ok_response,
-    parse_request,
 )
 from .resilience import JournalStore
 from .scheduler import BatchScheduler
@@ -86,8 +79,6 @@ class ServiceConfig:
     max_pending_per_session: int = 4
     max_queue_depth: int = 256
     step_budget: float = 30.0
-    #: optional JSONL trace path for ``serve.*`` + step telemetry
-    trace_path: Optional[str] = None
     #: directory for per-session snapshot journals; None disables
     #: durability (sessions die with the process)
     journal_dir: Optional[str] = None
@@ -100,21 +91,19 @@ class ServiceConfig:
     #: coalesce compatible same-tick step requests into one vectorized
     #: :class:`~repro.physics.WorldBatch` pass (bit-identical)
     fleet_step: bool = True
-    #: served design payloads cached, keyed on the canonical query
-    design_cache_size: int = DESIGN_CACHE_SIZE
 
 
-class SimulationService:
+class SimulationService(FrameServer):
     """Session manager + admission + scheduler behind one socket."""
+
+    # Gateway ops keep their ``bad_request`` answer while draining.
+    draining_ops = frozenset(("ping", "stats", "close") + GATEWAY_OPS)
+    kind = "service"
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  observer=None) -> None:
-        self.config = config or ServiceConfig()
-        self.registry = registry or (observer.registry if observer
-                                     is not None else MetricsRegistry())
-        self.observer = observer
-        self.incidents = IncidentLog()
+        super().__init__(config or ServiceConfig(), registry, observer)
         self.journal = (JournalStore(self.config.journal_dir)
                         if self.config.journal_dir else None)
         self.manager = SessionManager(self.config.max_sessions,
@@ -137,25 +126,20 @@ class SimulationService:
             journal_every=self.config.journal_every,
             incidents=self.incidents,
             fleet_step=self.config.fleet_step)
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
         self._replay: "OrderedDict" = OrderedDict()
         #: canonical query key -> design payload (LRU, single-flight)
         self._design_cache: "OrderedDict" = OrderedDict()
         self._design_inflight: dict = {}
         self.designs_total = 0
         self.design_cache_hits = 0
-        self._draining = False
-        self.started_at = 0.0
-        self.requests_total = 0
         #: per-journal recovery summaries from the last :meth:`start`
         self.recovered: List[dict] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Recover journaled sessions, bind the socket, start ticking."""
+    async def _open(self) -> None:
+        """Recover journaled sessions and start ticking."""
         if self.journal is not None:
             self.recovered = self.manager.recover_from(self.journal)
             for entry in self.recovered:
@@ -165,40 +149,25 @@ class SimulationService:
                         f"journal recovery failed for "
                         f"{entry['session']}: {entry.get('error')}")
         self.scheduler.start()
-        # The stream limit must fit a whole frame: restore requests can
-        # carry base64 snapshot payloads far beyond the 64 KiB default.
-        if self.config.unix_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.unix_path,
-                limit=MAX_FRAME_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host,
-                port=self.config.port, limit=MAX_FRAME_BYTES)
-        self.started_at = time.time()
 
-    @property
-    def address(self):
-        """Bound address: ``(host, port)`` for TCP, the path for UNIX."""
-        if self.config.unix_path:
-            return self.config.unix_path
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
+    def _banner(self) -> List[str]:
+        lines = [f"listening on {self._where()} "
+                 f"(max {self.config.max_sessions} sessions, "
+                 f"{self.scheduler.workers} workers)"]
+        recovered_ok = [r for r in self.recovered if r.get("ok")]
+        if self.recovered:
+            failed = len(self.recovered) - len(recovered_ok)
+            lines.append(
+                f"recovered {len(recovered_ok)} session(s) from "
+                f"{self.config.journal_dir}"
+                + (f" ({failed} failed digest/rebuild)" if failed else ""))
+        return lines
 
-    async def drain(self) -> dict:
-        """Graceful shutdown: admission off, batches finish, journals
-        flush, then stop.  Returns a summary for the caller to log."""
-        if self._draining:
-            return {"sessions": len(self.manager), "journaled": 0,
-                    "completed": True, "wall": 0.0}
-        self._draining = True
-        start = time.perf_counter()
-        if self._server is not None:
-            # No new connections; established ones keep being answered
-            # (with ``draining`` errors for new work).
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def _live_sessions(self) -> int:
+        return len(self.manager)
+
+    async def _drain_work(self) -> Tuple[int, bool]:
+        """Let in-flight batches finish, then journal every live session."""
         completed = await self.scheduler.quiesce(
             timeout=self.config.drain_grace)
         journaled = 0
@@ -213,111 +182,15 @@ class SimulationService:
                 journaled += 1
         if self.journal is not None:
             self.journal.flush()
-        summary = {
-            "sessions": len(self.manager),
-            "journaled": journaled,
-            "completed": completed,
-            "wall": round(time.perf_counter() - start, 6),
-        }
-        if self.observer is not None:
-            self.observer.serve_drain(**summary)
-        else:
-            self.registry.counter("serve.drains").inc()
-        await self.stop()
-        return summary
+        return journaled, completed
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
+    async def _close(self) -> None:
         await self.scheduler.stop()
         # Journals survive close_all: stopping the service must leave
         # every session recoverable by the next one.
         self.manager.close_all()
         if self.journal is not None:
             self.journal.close()
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, ValueError):
-                    # reset, or a line beyond the stream limit — there
-                    # is no way to resync a torn NDJSON stream; drop it.
-                    break
-                if not line:
-                    break
-                try:
-                    frame = decode_frame(line)
-                except ProtocolError as exc:
-                    writer.write(encode_frame(
-                        error_response(exc.code, exc.detail)))
-                    await writer.drain()
-                    continue
-                response = await self.handle_request(frame)
-                writer.write(encode_frame(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    # ------------------------------------------------------------------
-    # Request dispatch
-    # ------------------------------------------------------------------
-    async def handle_request(self, frame: dict) -> dict:
-        """Execute one request frame; always returns a response frame."""
-        start = time.perf_counter()
-        self.requests_total += 1
-        op = frame.get("op") if isinstance(frame.get("op"), str) else None
-        session_id = (frame.get("session")
-                      if isinstance(frame.get("session"), str) else None)
-        try:
-            op = parse_request(frame)
-            response = await self._execute(op, frame)
-            ok, error = True, None
-        except ServiceError as exc:
-            response = error_response(exc.code, exc.detail, frame,
-                                      extra=exc.extra)
-            ok, error = False, exc.code
-        except UnknownScenarioError as exc:
-            response = error_response("bad_request", str(exc), frame)
-            ok, error = False, "bad_request"
-        except Exception as exc:  # noqa: BLE001 - never kill the server
-            # The connection survives, but the failure must not vanish:
-            # an unexpected exception here is a server bug by definition.
-            self.incidents.detection(
-                0, "serve",
-                f"internal error on {op or 'invalid'!r}: "
-                f"{type(exc).__name__}: {exc}")
-            self.registry.counter("serve.internal_errors").inc()
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}", frame)
-            ok, error = False, "internal"
-        wall = time.perf_counter() - start
-        self.registry.counter("serve.requests",
-                              op=op or "invalid").inc()
-        self.registry.histogram("serve.request.seconds").observe(wall)
-        if self.observer is not None:
-            self.observer.serve_request(op or "invalid",
-                                        response.get("session",
-                                                     session_id),
-                                        ok, wall, error)
-        return response
 
     # ------------------------------------------------------------------
     def _replay_key(self, op: str, frame: dict):
@@ -340,7 +213,8 @@ class SimulationService:
         while len(self._replay) > REPLAY_CACHE_SIZE:
             self._replay.popitem(last=False)
 
-    async def _execute(self, op: str, frame: dict) -> dict:
+    async def _execute(self, op: str, frame: dict,
+                       connection: dict) -> dict:
         key = self._replay_key(op, frame)
         if key is not None:
             cached = self._replay.get(key)
@@ -349,11 +223,9 @@ class SimulationService:
                 response = dict(cached)
                 response["replayed"] = True
                 return response
-        if self._draining and op in ("create", "step", "snapshot",
-                                     "restore", "design"):
-            raise ServiceError(
-                "draining", "service is draining; retry after restart",
-                extra={"retry_after_ms": 1000})
+        # After the replay lookup: a retry of work that already ran
+        # gets its answer even from a draining service.
+        self._refuse_while_draining(op)
         response = await self._execute_op(op, frame)
         if key is not None:
             self._remember(key, response)
@@ -409,21 +281,27 @@ class SimulationService:
                         "bad_request",
                         "'data' must be base64 snapshot bytes") from None
             precisions = frame.get("precisions")
-            result = await self.scheduler.submit(
-                session,
-                lambda: session.restore(frame.get("snapshot"), data,
-                                        precisions))
-            # Re-journal immediately: the previous journal entry
-            # describes a pre-restore trajectory, so a crash (or a
-            # rung-1 rollback) before the next journaled batch would
-            # otherwise resurrect state the client just rewound away.
-            # This is also what makes a migrated session durable on its
-            # target shard from the first request.
-            if self.journal is not None:
-                checkpoint, step, state = session.capture_for_journal()
-                session.mark_journaled(checkpoint, step, state)
-                self.journal.append_snapshot(session.id, checkpoint,
-                                             step, state)
+
+            def _restore() -> dict:
+                result = session.restore(frame.get("snapshot"), data,
+                                         precisions)
+                # Re-journal before the reply: the previous journal
+                # entry describes a pre-restore trajectory, so a crash
+                # (or a rung-1 rollback) after the reply would otherwise
+                # resurrect state the client just rewound away.  This is
+                # also what makes a migrated session durable on its
+                # target shard from the first request.  The wait runs in
+                # the batch's worker thread, so the event loop, and with
+                # it which requests share the next tick, is not held up.
+                if self.journal is not None:
+                    checkpoint, step, state = session.capture_for_journal()
+                    session.mark_journaled(checkpoint, step, state)
+                    self.journal.append_snapshot(session.id, checkpoint,
+                                                 step, state)
+                    self.journal.flush()
+                return result
+
+            result = await self.scheduler.submit(session, _restore)
             return ok_response(frame, **result)
         raise ServiceError("unknown_op", f"unhandled op {op!r}")
 
@@ -491,7 +369,7 @@ class SimulationService:
                 lambda: run_search(query, workers=self.config.workers))
             payload = result.payload()
             self._design_cache[key] = payload
-            while len(self._design_cache) > self.config.design_cache_size:
+            while len(self._design_cache) > DESIGN_CACHE_SIZE:
                 self._design_cache.popitem(last=False)
             future.set_result(payload)
         except BaseException as exc:
@@ -538,64 +416,7 @@ class SimulationService:
         }
 
 
-async def serve_forever(config: ServiceConfig, observer=None,
-                        ready_callback=None) -> None:
-    """Run the service until SIGTERM/SIGINT, then drain gracefully.
-
-    This is the CLI entry point.  Signal handlers are installed on the
-    running loop when possible (main thread); elsewhere — e.g. the
-    in-thread test harness — the caller cancels the coroutine instead
-    and the ``finally`` still stops the service cleanly.
-    """
-    service = SimulationService(config, observer=observer)
-    await service.start()
-    address = service.address
-    where = (address if isinstance(address, str)
-             else f"{address[0]}:{address[1]}")
-    print(f"repro-serve: listening on {where} "
-          f"(max {config.max_sessions} sessions, "
-          f"{service.scheduler.workers} workers)")
-    recovered_ok = [r for r in service.recovered if r.get("ok")]
-    if service.recovered:
-        failed = len(service.recovered) - len(recovered_ok)
-        print(f"repro-serve: recovered {len(recovered_ok)} session(s) "
-              f"from {config.journal_dir}"
-              + (f" ({failed} failed digest/rebuild)" if failed else ""))
-    if ready_callback is not None:
-        ready_callback(service)
-
-    loop = asyncio.get_running_loop()
-    drain_requested = asyncio.Event()
-    installed = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, drain_requested.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            # Not the main thread (tests) or unsupported platform:
-            # fall back to cancellation-driven shutdown.
-            pass
-    try:
-        if installed:
-            server = service._server
-            wait = loop.create_task(drain_requested.wait())
-            forever = loop.create_task(server.serve_forever())
-            await asyncio.wait({wait, forever},
-                               return_when=asyncio.FIRST_COMPLETED)
-            for task in (wait, forever):
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-            if drain_requested.is_set():
-                print("repro-serve: shutdown signal received; draining")
-                summary = await service.drain()
-                print(f"repro-serve: drained "
-                      f"({summary['sessions']} session(s) journaled, "
-                      f"{summary['wall']:.2f}s)")
-        else:
-            await service._server.serve_forever()
-    finally:
-        for sig in installed:
-            with contextlib.suppress(Exception):
-                loop.remove_signal_handler(sig)
-        await service.stop()
+async def serve_forever(config: ServiceConfig, observer=None) -> None:
+    """Run the service until SIGTERM/SIGINT, then drain gracefully
+    (the CLI entry point; see :meth:`FrameServer.run_until_signal`)."""
+    await SimulationService(config, observer=observer).run_until_signal()

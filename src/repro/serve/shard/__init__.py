@@ -19,7 +19,6 @@ unchanged:
 
 from .gateway import (
     GatewayConfig,
-    GatewayHandle,
     ShardGateway,
     gateway_forever,
     start_gateway_in_thread,
@@ -29,7 +28,6 @@ from .worker import ShardProcess, ShardSupervisor
 
 __all__ = [
     "GatewayConfig",
-    "GatewayHandle",
     "HashRing",
     "ShardGateway",
     "ShardProcess",

@@ -23,6 +23,10 @@ single-process service; the gateway owns *placement*, not simulation:
 
 The gateway holds no simulation state: everything it needs to survive
 its own restart is in the shard journals, which it re-reads at start.
+A drain stops the health loop before any shard, so a graceful SIGTERM
+keeps every shard's journals for the next gateway.  Listening, framing,
+dispatch, accounting and the drain order come from the shared
+:class:`~repro.serve.frontend.FrameServer`.
 """
 
 from __future__ import annotations
@@ -30,37 +34,31 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
-import signal
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...obs.metrics import MetricsRegistry
 from ...robustness.checkpoint import serialize_checkpoint
-from ...robustness.incidents import IncidentLog
-from ..client import Client
+from ..client import ServerHandle, run_in_thread
+from ..frontend import FrameServer
 from ..protocol import (
-    GATEWAY_OPS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    ProtocolError,
     ServiceError,
     decode_frame,
     encode_frame,
-    error_response,
     ok_response,
-    parse_request,
 )
 from ..resilience import recover_sessions
 from ..server import ServiceConfig
 from .ring import HashRing
 from .worker import ShardSupervisor
 
-__all__ = ["GatewayConfig", "ShardGateway", "GatewayHandle",
-           "gateway_forever", "start_gateway_in_thread"]
+__all__ = ["GatewayConfig", "ShardGateway", "gateway_forever",
+           "start_gateway_in_thread"]
 
 #: Fields of a create frame that are routing envelope, not session
 #: configuration — everything else is kept for migration re-creates.
@@ -87,15 +85,12 @@ class GatewayConfig:
     journal_every: int = 32
     drain_grace: float = 10.0
     allow_chaos: bool = False
-    #: JSONL trace path for the gateway's serve.* events
-    trace_path: Optional[str] = None
     #: seconds between shard liveness checks
     health_interval: float = 0.5
     #: seconds one gateway->shard control request may take
     request_timeout: float = 60.0
     #: seconds a migration may wait for in-flight requests to finish
     migrate_grace: float = 10.0
-    vnodes: int = 64
 
     def shard_service_config(self) -> ServiceConfig:
         """The per-shard ServiceConfig (socket/journal paths added by
@@ -145,17 +140,17 @@ class _ShardLink:
             self.reader = self.writer = None
 
 
-class ShardGateway:
+class ShardGateway(FrameServer):
     """Routes NDJSON sessions over N shard subprocesses."""
+
+    draining_ops = frozenset(("ping", "topology", "stats"))
+    kind = "gateway"
+    drain_banner = "draining shards"
 
     def __init__(self, config: Optional[GatewayConfig] = None,
                  registry: Optional[MetricsRegistry] = None,
                  observer=None) -> None:
-        self.config = config or GatewayConfig()
-        self.registry = registry or (observer.registry if observer
-                                     is not None else MetricsRegistry())
-        self.observer = observer
-        self.incidents = IncidentLog()
+        super().__init__(config or GatewayConfig(), registry, observer)
         runtime = self.config.runtime_dir or tempfile.mkdtemp(
             prefix="repro-gateway-")
         self.runtime_dir = Path(runtime)
@@ -164,7 +159,7 @@ class ShardGateway:
             self.config.shard_service_config())
         #: shards taking *new* placements (drained shards leave; crashed
         #: shards leave until respawned)
-        self.ring = HashRing(vnodes=self.config.vnodes)
+        self.ring = HashRing()
         self.active: Set[int] = set()
         #: authoritative session -> shard map (every live session)
         self.routes: Dict[str, int] = {}
@@ -175,20 +170,15 @@ class ShardGateway:
         self._links: Dict[int, _ShardLink] = {}
         self._crash_locks: Dict[int, asyncio.Lock] = {}
         self._seq = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
-        self._health_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self.started_at = 0.0
-        self.requests_total = 0
         self.migrations_total = 0
         self.sessions_lost_total = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> None:
-        """Spawn shards, learn any journal-recovered sessions, bind."""
+    async def _open(self) -> None:
+        """Spawn shards, learn any journal-recovered sessions, start the
+        health loop."""
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.start_all)
         for shard in self.supervisor:
@@ -197,16 +187,7 @@ class ShardGateway:
             self._links[shard.index] = _ShardLink(str(shard.socket_path))
             self._crash_locks[shard.index] = asyncio.Lock()
         await self._learn_routes()
-        if self.config.unix_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.config.unix_path,
-                limit=MAX_FRAME_BYTES)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, host=self.config.host,
-                port=self.config.port, limit=MAX_FRAME_BYTES)
-        self._health_task = asyncio.ensure_future(self._health_loop())
-        self.started_at = time.time()
+        self._background.append(asyncio.ensure_future(self._health_loop()))
 
     async def _learn_routes(self) -> None:
         """Rebuild the routing table from what the shards recovered.
@@ -229,54 +210,33 @@ class ShardGateway:
         if sid.startswith("g") and sid[1:].isdigit():
             self._seq = max(self._seq, int(sid[1:]))
 
-    @property
-    def address(self):
-        if self.config.unix_path:
-            return self.config.unix_path
-        sock = self._server.sockets[0]
-        return sock.getsockname()[:2]
+    def _banner(self) -> List[str]:
+        lines = [f"gateway on {self._where()} "
+                 f"({self.config.shards} shards under {self.runtime_dir}, "
+                 f"max {self.config.max_sessions} sessions/shard)"]
+        if self.routes:
+            lines.append(f"re-learned {len(self.routes)} session route(s) "
+                         f"from shard journals")
+        return lines
 
-    async def drain(self) -> dict:
-        """Stop accepting work, SIGTERM the shards (they journal every
-        session), then stop."""
-        if self._draining:
-            return {"sessions": len(self.routes), "journaled": 0,
-                    "completed": True, "wall": 0.0}
-        self._draining = True
-        start = time.perf_counter()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def _live_sessions(self) -> int:
+        return len(self.routes)
+
+    async def _drain_work(self) -> Tuple[int, bool]:
+        """SIGTERM the shards: each one journals every session it holds."""
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.stop_all)
-        summary = {
-            "sessions": len(self.routes),
-            "journaled": len(self.routes),
-            "completed": True,
-            "wall": round(time.perf_counter() - start, 6),
-        }
-        if self.observer is not None:
-            self.observer.serve_drain(**summary)
-        await self.stop()
-        return summary
+        return len(self.routes), True
 
-    async def stop(self) -> None:
-        if self._health_task is not None:
-            self._health_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._health_task
-            self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._connections):
-            writer.close()
+    async def _close(self) -> None:
         for link in self._links.values():
             link.close()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.stop_all)
+
+    def _release_connection(self, connection: dict) -> None:
+        for _, up_writer in connection.values():
+            up_writer.close()
 
     # ------------------------------------------------------------------
     # Health / crash recovery
@@ -289,7 +249,14 @@ class ShardGateway:
                     await self._handle_shard_crash(index)
 
     async def _handle_shard_crash(self, index: int) -> None:
-        """Recover a dead shard's sessions onto survivors, respawn it."""
+        """Recover a dead shard's sessions onto survivors, respawn it.
+
+        A draining gateway stops its shards on purpose: recovering them
+        would re-place sessions on shards that are stopping too, count
+        them lost and unlink their journals.
+        """
+        if self._draining:
+            return
         async with self._crash_locks[index]:
             shard = self.supervisor[index]
             if shard.alive:
@@ -384,88 +351,11 @@ class ShardGateway:
             await self._control(index, frame)
 
     # ------------------------------------------------------------------
-    # Connection handling (client side of the gateway)
+    # Request dispatch (``upstreams`` is the connection's shard sockets)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
-        upstreams: Dict[int, tuple] = {}
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionResetError, ValueError):
-                    break
-                if not line:
-                    break
-                try:
-                    frame = decode_frame(line)
-                except ProtocolError as exc:
-                    writer.write(encode_frame(
-                        error_response(exc.code, exc.detail)))
-                    await writer.drain()
-                    continue
-                response = await self.handle_request(frame, upstreams)
-                writer.write(encode_frame(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._connections.discard(writer)
-            for _, up_writer in upstreams.values():
-                up_writer.close()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def handle_request(self, frame: dict,
-                             upstreams: Optional[Dict[int, tuple]] = None
-                             ) -> dict:
-        """Execute one frame; always answers.  ``upstreams`` is the
-        calling connection's shard-socket pool (None = one-shot)."""
-        start = time.perf_counter()
-        self.requests_total += 1
-        upstreams = upstreams if upstreams is not None else {}
-        op = frame.get("op") if isinstance(frame.get("op"), str) else None
-        session_id = (frame.get("session")
-                      if isinstance(frame.get("session"), str) else None)
-        try:
-            op = parse_request(frame)
-            response = await self._execute(op, frame, upstreams)
-            ok, error = True, None
-        except ServiceError as exc:
-            response = error_response(exc.code, exc.detail, frame,
-                                      extra=exc.extra)
-            ok, error = False, exc.code
-        except Exception as exc:  # noqa: BLE001 - gateway must survive
-            # Same record the single-process service keeps: a gateway
-            # bug must not vanish into a counter.
-            self.incidents.detection(
-                0, "serve",
-                f"internal error on {op or 'invalid'!r}: "
-                f"{type(exc).__name__}: {exc}")
-            self.registry.counter("serve.internal_errors").inc()
-            response = error_response(
-                "internal", f"{type(exc).__name__}: {exc}", frame)
-            ok, error = False, "internal"
-        wall = time.perf_counter() - start
-        self.registry.counter("serve.requests",
-                              op=op or "invalid").inc()
-        self.registry.histogram("serve.request.seconds").observe(wall)
-        if self.observer is not None:
-            self.observer.serve_request(
-                op or "invalid", response.get("session", session_id),
-                ok, wall, error)
-        return response
-
     async def _execute(self, op: str, frame: dict,
                        upstreams: Dict[int, tuple]) -> dict:
-        if self._draining and op not in ("ping", "topology", "stats"):
-            raise ServiceError(
-                "draining", "gateway is draining; retry after restart",
-                extra={"retry_after_ms": 1000})
+        self._refuse_while_draining(op)
         if op == "ping":
             return ok_response(frame, protocol=PROTOCOL_VERSION,
                                server="repro-serve-gateway",
@@ -861,140 +751,15 @@ class ShardGateway:
 # ----------------------------------------------------------------------
 # CLI + harness entry points (mirrors repro.serve.server/client)
 # ----------------------------------------------------------------------
-async def gateway_forever(config: GatewayConfig, observer=None,
-                          ready_callback=None) -> None:
+async def gateway_forever(config: GatewayConfig, observer=None) -> None:
     """Run the gateway until SIGTERM/SIGINT, then drain gracefully."""
-    gateway = ShardGateway(config, observer=observer)
-    await gateway.start()
-    address = gateway.address
-    where = (address if isinstance(address, str)
-             else f"{address[0]}:{address[1]}")
-    print(f"repro-serve: gateway on {where} "
-          f"({config.shards} shards under {gateway.runtime_dir}, "
-          f"max {config.max_sessions} sessions/shard)")
-    if gateway.routes:
-        print(f"repro-serve: re-learned {len(gateway.routes)} "
-              f"session route(s) from shard journals")
-    if ready_callback is not None:
-        ready_callback(gateway)
-
-    loop = asyncio.get_running_loop()
-    drain_requested = asyncio.Event()
-    installed = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, drain_requested.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-    try:
-        if installed:
-            server = gateway._server
-            wait = loop.create_task(drain_requested.wait())
-            forever = loop.create_task(server.serve_forever())
-            await asyncio.wait({wait, forever},
-                               return_when=asyncio.FIRST_COMPLETED)
-            for task in (wait, forever):
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-            if drain_requested.is_set():
-                print("repro-serve: shutdown signal received; "
-                      "draining shards")
-                summary = await gateway.drain()
-                print(f"repro-serve: drained "
-                      f"({summary['sessions']} session(s) journaled, "
-                      f"{summary['wall']:.2f}s)")
-        else:
-            await gateway._server.serve_forever()
-    finally:
-        for sig in installed:
-            with contextlib.suppress(Exception):
-                loop.remove_signal_handler(sig)
-        await gateway.stop()
-
-
-class GatewayHandle:
-    """A gateway (plus its shards) on a background event-loop thread."""
-
-    def __init__(self, gateway: ShardGateway,
-                 loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
-        self.gateway = gateway
-        self._loop = loop
-        self._thread = thread
-        address = gateway.address
-        if isinstance(address, str):
-            self.unix_path: Optional[str] = address
-            self.host = self.port = None
-        else:
-            self.unix_path = None
-            self.host, self.port = address
-
-    def connect(self, timeout: float = 60.0) -> Client:
-        return Client(host=self.host, port=self.port,
-                      unix_path=self.unix_path, timeout=timeout)
-
-    def address(self) -> dict:
-        if self.unix_path:
-            return {"unix_path": self.unix_path}
-        return {"host": self.host, "port": self.port}
-
-    def kill_shard(self, index: int) -> None:
-        """Chaos hook: SIGKILL one shard process (no drain, no warning).
-
-        Safe from any thread — the gateway's health loop (or the next
-        failed forward) notices and runs journal recovery.
-        """
-        self.gateway.supervisor[index].kill()
-
-    def run(self, coro, timeout: float = 120.0):
-        """Run a gateway coroutine on the gateway loop (admin helpers)."""
-        return asyncio.run_coroutine_threadsafe(
-            coro, self._loop).result(timeout)
-
-    def stop(self, timeout: float = 60.0) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.gateway.stop(), self._loop).result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+    await ShardGateway(config, observer=observer).run_until_signal()
 
 
 def start_gateway_in_thread(config: Optional[GatewayConfig] = None,
                             observer=None,
-                            timeout: float = 120.0) -> GatewayHandle:
+                            timeout: float = 120.0) -> ServerHandle:
     """Start a gateway + shards on a background thread; returns once
     every shard socket accepts and the gateway is bound."""
-    config = config or GatewayConfig(port=0)
-    ready = threading.Event()
-    box: dict = {}
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        gateway = ShardGateway(config, observer=observer)
-        try:
-            loop.run_until_complete(gateway.start())
-        except Exception as exc:  # noqa: BLE001 - surfaced to caller
-            box["error"] = exc
-            ready.set()
-            with contextlib.suppress(Exception):
-                loop.run_until_complete(gateway.stop())
-            loop.close()
-            return
-        box["gateway"] = gateway
-        box["loop"] = loop
-        ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="repro-gateway-loop",
-                              daemon=True)
-    thread.start()
-    if not ready.wait(timeout):
-        raise TimeoutError("gateway did not start in time")
-    if "error" in box:
-        raise box["error"]
-    return GatewayHandle(box["gateway"], box["loop"], thread)
+    return run_in_thread(ShardGateway(config or GatewayConfig(port=0),
+                                      observer=observer), timeout)

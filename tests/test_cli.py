@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import multiprocessing
+import socket
+
 import pytest
 
 from repro.__main__ import ARTIFACTS, main
@@ -204,6 +207,24 @@ class TestServeCli:
         assert service.max_pending_per_session == 8
         assert service.max_queue_depth == 9
         assert not service.fleet_step
+
+    @pytest.mark.parametrize("topology", [[], ["--shards", "2"]],
+                             ids=["service", "gateway"])
+    def test_serve_on_a_busy_port_fails_in_one_line(self, topology,
+                                                    tmp_path, capsys):
+        """A front end that cannot bind is stopped (shards included)
+        and ``repro serve`` says why in one line, not a traceback."""
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            if topology:
+                topology = topology + ["--runtime-dir", str(tmp_path)]
+            assert main(["serve", "--port", str(port)] + topology) == 1
+        err = capsys.readouterr().err
+        assert f"127.0.0.1:{port}" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_serve_and_serve_bench_registered(self, capsys):
         with pytest.raises(SystemExit):

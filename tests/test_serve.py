@@ -532,41 +532,51 @@ class TestSnapshotWireEncoding:
             handle.stop()
 
 
-class TestConnectionFaults:
+class FramingFaults:
+    """Torn and garbage frames stay contained to their connection.
+
+    Collected through subclasses that provide a ``frontend`` fixture (a
+    running :class:`~repro.serve.client.ServerHandle`): the service
+    below, the sharded gateway in ``test_serve_shard``.
+    """
+
+    def test_torn_partial_frame_then_eof_drops_only_that_connection(
+            self, frontend):
+        with frontend.connect() as good:
+            session = good.create("continuous", scale=0.4)
+            bad = frontend.connect()
+            # Half a frame, no newline, then a hard close: the server
+            # cannot resync a torn NDJSON stream and must simply drop
+            # the connection.
+            bad._file.write(b'{"op": "step", "session": "s1"')
+            bad._file.flush()
+            bad._sock.close()
+            # The healthy connection is unaffected.
+            assert good.step(session)["step"] == 1
+            assert good.ping()["ok"]
+            good.close_session(session)
+
+    def test_binary_garbage_line_gets_bad_frame_not_a_hangup(
+            self, frontend):
+        with frontend.connect() as client:
+            client._file.write(b"\x00\xff\xfe garbage \xba\xad\n")
+            client._file.flush()
+            response = decode_frame(client._file.readline())
+            assert response["ok"] is False
+            assert response["error"] == "bad_frame"
+            assert client.ping()["ok"]
+
+
+class TestConnectionFaults(FramingFaults):
     """Torn frames and mid-batch disconnects must stay contained: the
     one bad connection drops, its session stays recoverable via the
     journal, and everyone else keeps batching."""
 
-    def test_torn_partial_frame_then_eof_drops_only_that_connection(self):
+    @pytest.fixture
+    def frontend(self):
         handle = _server()
-        try:
-            with handle.connect() as good:
-                session = good.create("continuous", scale=0.4)
-                bad = handle.connect()
-                # Half a frame, no newline, then a hard close: the
-                # server cannot resync a torn NDJSON stream and must
-                # simply drop the connection.
-                bad._file.write(b'{"op": "step", "session": "s1"')
-                bad._file.flush()
-                bad._sock.close()
-                # The healthy connection is unaffected.
-                assert good.step(session)["step"] == 1
-                assert good.ping()["ok"]
-        finally:
-            handle.stop()
-
-    def test_binary_garbage_line_gets_bad_frame_not_a_hangup(self):
-        handle = _server()
-        try:
-            with handle.connect() as client:
-                client._file.write(b"\x00\xff\xfe garbage \xba\xad\n")
-                client._file.flush()
-                response = decode_frame(client._file.readline())
-                assert response["ok"] is False
-                assert response["error"] == "bad_frame"
-                assert client.ping()["ok"]
-        finally:
-            handle.stop()
+        yield handle
+        handle.stop()
 
     def test_mid_batch_disconnect_keeps_batching_and_journal(
             self, tmp_path):
@@ -667,7 +677,7 @@ class TestFleetStepping:
                 guarded = client.create("continuous", scale=0.4, seed=5,
                                         guarded=True)
                 client.step(guarded, 5)
-            session = handle.service.manager.get(guarded)
+            session = handle.frontend.manager.get(guarded)
             assert session.fleet_key() is None
         finally:
             handle.stop()

@@ -302,7 +302,7 @@ class TestServiceResilience:
 
         handle2 = _server(journal_dir=journal_dir, journal_every=1)
         try:
-            assert [r["ok"] for r in handle2.service.recovered] == [True]
+            assert [r["ok"] for r in handle2.frontend.recovered] == [True]
             with handle2.connect() as client:
                 stats = client.stats()
                 [entry] = [s for s in stats["sessions"]
@@ -313,6 +313,38 @@ class TestServiceResilience:
                 assert client.step(session)["step"] == 6
         finally:
             handle2.stop()
+
+    def test_restore_reply_means_its_journal_entry_is_written(
+            self, tmp_path, monkeypatch):
+        """A restore is answered only once its re-journal is on disk,
+        however slow the journal writer: a crash right after the reply
+        (a migration target killed at once) recovers the restored step.
+        """
+        import repro.serve.resilience as resilience
+
+        serialize = resilience.serialize_checkpoint
+
+        def slow_serialize(checkpoint):
+            time.sleep(0.05)
+            return serialize(checkpoint)
+
+        monkeypatch.setattr(resilience, "serialize_checkpoint",
+                            slow_serialize)
+        journal_dir = tmp_path / "journals"
+        handle = _server(journal_dir=str(journal_dir), journal_every=1)
+        try:
+            with handle.connect() as client:
+                session = client.create("continuous", scale=0.4, seed=4)
+                client.step(session, 2)
+                snap = client.snapshot(session)
+                client.step(session, 3)
+                restored = client.restore(session,
+                                          snapshot=snap["snapshot"])
+                [rec] = recover_sessions(journal_dir)
+                assert restored["step"] == 2
+                assert (rec.step, rec.state) == (2, restored["digest"])
+        finally:
+            handle.stop()
 
     def test_stuck_step_respawns_instead_of_evicting(self, tmp_path):
         handle = _server(journal_dir=str(tmp_path / "j"),
@@ -357,14 +389,14 @@ class TestServiceResilience:
         try:
             with handle.connect() as client:
                 session = client.create("continuous", scale=0.4)
-                handle.service._draining = True
+                handle.frontend._draining = True
                 with pytest.raises(ServeClientError) as err:
                     client.step(session)
                 assert err.value.code == "draining"
                 assert err.value.response["retry_after_ms"] >= 1
                 assert client.ping()["draining"] is True
         finally:
-            handle.service._draining = False
+            handle.frontend._draining = False
             handle.stop()
 
     def test_idempotent_request_id_replays_not_reexecutes(self):
@@ -389,17 +421,17 @@ class TestServiceResilience:
         try:
             with handle.connect() as client:
                 client.create("continuous", scale=0.4)
-                original = handle.service.manager.get
-                handle.service.manager.get = \
+                original = handle.frontend.manager.get
+                handle.frontend.manager.get = \
                     lambda *a: (_ for _ in ()).throw(RuntimeError("bug"))
                 try:
                     with pytest.raises(ServeClientError) as err:
                         client.step("s1")
                     assert err.value.code == "internal"
                 finally:
-                    handle.service.manager.get = original
+                    handle.frontend.manager.get = original
                 assert client.stats()["incidents"] == 1
-                incidents = handle.service.incidents.records
+                incidents = handle.frontend.incidents.records
                 assert "RuntimeError: bug" in incidents[0].detail
         finally:
             handle.stop()
@@ -433,31 +465,37 @@ class TestServiceResilience:
 
 
 class TestSigtermDrain:
-    def test_sigterm_drains_a_real_server_process(self, tmp_path):
-        """Satellite: ``python -m repro serve`` must drain on SIGTERM
-        (journals flushed, exit 0), not die with a traceback."""
+    @pytest.mark.parametrize("flags, sessions", [
+        (["--journal-dir", "journals"], 1),
+        (["--shards", "2", "--runtime-dir", "runtime"], 4),
+    ], ids=["service", "gateway"])
+    def test_sigterm_drains_a_real_server_process(self, tmp_path, flags,
+                                                  sessions):
+        """``python -m repro serve`` must drain on SIGTERM (journals
+        flushed, exit 0), not die with a traceback — for the service
+        and for the sharded gateway."""
         sock_path = str(tmp_path / "serve.sock")
-        journal_dir = str(tmp_path / "journals")
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent
                                 / "src")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--unix", sock_path, "--journal-dir", journal_dir,
-             "--journal-every", "1000"],
+             "--unix", sock_path, "--journal-every", "1000"] + flags,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env)
+            text=True, env=env, cwd=tmp_path)
         try:
-            deadline = time.time() + 30
+            deadline = time.time() + 60
             while not os.path.exists(sock_path):
                 assert proc.poll() is None, proc.stdout.read()
                 assert time.time() < deadline, "server never bound"
                 time.sleep(0.05)
             with Client(unix_path=sock_path, timeout=30.0) as client:
-                session = client.create("continuous", scale=0.4, seed=6)
-                client.step(session, 3)
+                sids = [client.create("continuous", scale=0.4, seed=6)
+                        for _ in range(sessions)]
+                for sid in sids:
+                    client.step(sid, 3)
             proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=30)
+            out, _ = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -467,8 +505,10 @@ class TestSigtermDrain:
         assert "Traceback" not in out
         # journal_every=1000: only the drain flush can have journaled
         # the stepped state.
-        [rec] = recover_sessions(journal_dir)
-        assert rec.step == 3
+        journal_dirs = {path.parent for path in tmp_path.rglob("*.journal")}
+        steps = {rec.session_id: rec.step for directory in journal_dirs
+                 for rec in recover_sessions(directory)}
+        assert steps == {sid: 3 for sid in sids}
 
 
 # ----------------------------------------------------------------------
@@ -606,7 +646,7 @@ class TestResilientClient:
             # full-precision retry fail, forcing a rung-1 rollback to
             # the only journal mark (step 0, journal_every=100); the
             # fault then clears and the client replays the gap.
-            service_session = handle.service.manager.get(session)
+            service_session = handle.frontend.manager.get(session)
             real_step = service_session.world.__class__.step
             calls = {"n": 0}
 

@@ -26,10 +26,13 @@ from repro.serve import (
     ServeClientError,
     ServiceConfig,
     ShardGateway,
+    recover_sessions,
     start_gateway_in_thread,
     start_in_thread,
 )
 from repro.serve.shard.ring import HashRing, stable_hash
+
+from .test_serve import FramingFaults
 
 SCENARIO = "continuous"
 OPTS = dict(scale=0.3, seed=11)
@@ -225,6 +228,14 @@ class TestGatewayErrorForwarding:
             handle.stop()
 
 
+class TestGatewayConnectionFaults(FramingFaults):
+    """The service's torn and garbage frame cases, through the gateway."""
+
+    @pytest.fixture
+    def frontend(self, gateway):
+        return gateway
+
+
 class TestLiveMigration:
     def test_migrate_under_load_stays_bit_identical(self, gateway):
         """The ISSUE's gate: drain -> snapshot -> restore -> repoint,
@@ -285,7 +296,7 @@ class TestLiveMigration:
             target = 1 - source
             client.request({"op": "migrate", "session": sid,
                             "target": target})
-            gateway.kill_shard(target)
+            gateway.frontend.supervisor[target].kill()
             described = client.step(sid, 0)
             assert described["step"] == 7
             assert described["digest"] == digest_before
@@ -313,7 +324,7 @@ class TestAdminOps:
             assert excinfo.value.code == "bad_request"
             # Rebalance walks sessions back to ring placement (shard 0
             # rejoins the ring when it is re-added by rebalance's ring).
-            gateway.run(_reactivate(gateway.gateway, 0))
+            gateway.run(_reactivate(gateway.frontend, 0))
             rebalanced = client.request({"op": "rebalance"})
             assert not rebalanced["failed"]
             ring = HashRing(range(2))
@@ -332,7 +343,7 @@ async def _reactivate(gw, index: int) -> None:
 def _wait_all_alive(gateway, timeout: float = 60.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if not gateway.gateway.supervisor.dead_shards():
+        if not gateway.frontend.supervisor.dead_shards():
             return
         time.sleep(0.05)
     raise TimeoutError("shards did not come back alive")
@@ -350,7 +361,7 @@ class TestShardCrashRecovery:
             victims = [sid for sid in sids if routes[sid] == 0]
             assert victims, "expected at least one session on shard 0"
 
-            gateway.kill_shard(0)
+            gateway.frontend.supervisor[0].kill()
             # journal_every=1 in the fixture: recovery is exact — same
             # step, same digest, no session loss.
             for sid in sids:
@@ -366,3 +377,35 @@ class TestShardCrashRecovery:
                        client.request({"op": "topology"})["shards"])
             for sid in sids:
                 client.close_session(sid)
+
+
+class TestGatewayDrain:
+    def test_drain_keeps_every_session_journal(self, tmp_path):
+        """A graceful drain stops the health loop before the shards, so
+        no shard it SIGTERMs is taken for crashed: nothing is lost,
+        nothing respawns, and every journal survives at the drained
+        step."""
+        handle = start_gateway_in_thread(GatewayConfig(
+            port=0, shards=2, runtime_dir=str(tmp_path), journal_every=1,
+            health_interval=0.02))
+        gateway = handle.frontend
+        try:
+            with handle.connect() as client:
+                sids = [_create(client, scale=0.4) for _ in range(4)]
+                for sid in sids:
+                    client.step(sid, 3)
+                routes = client.request({"op": "topology"})["routes"]
+        except BaseException:
+            handle.stop()
+            raise
+        assert sorted(routes.values()) == [0, 0, 1, 1]
+        summary = handle.drain()
+        assert summary["sessions"] == 4
+        assert gateway.sessions_lost_total == 0
+        assert [shard.restarts for shard in gateway.supervisor] == [0, 0]
+        # No observer attached: the drain still counts, as the service's.
+        assert gateway.registry.counter("serve.drains").value == 1
+        steps = {rec.session_id: rec.step
+                 for index in (0, 1)
+                 for rec in recover_sessions(tmp_path / f"journal-{index}")}
+        assert steps == {"g1": 3, "g2": 3, "g3": 3, "g4": 3}
