@@ -6,6 +6,9 @@ import pytest
 from repro.fp import FPContext
 from repro.physics import World
 
+from .engine_goldens import (bytes_digest, census_counts, load,
+                             requires_golden_host)
+
 
 def make_world():
     return World(ctx=FPContext(census=False))
@@ -21,6 +24,29 @@ def contacts_of(world):
     pairs = broadphase.candidate_pairs(world.geoms, aabbs)
     return narrowphase.generate_contacts(world.ctx, world.bodies,
                                          world.geoms, pairs)
+
+
+def box_jumbles(mode, precision, census=False):
+    """Contacts of four random 14-box jumbles: their digest and summed
+    census counts (empty census-free)."""
+    chunks, counts = [], {}
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        world = World(ctx=FPContext({"narrow": precision}, mode=mode,
+                                    census=census))
+        for _ in range(14):
+            quat = rng.standard_normal(4)
+            world.add_box(rng.uniform(-0.9, 0.9, 3).tolist(),
+                          rng.uniform(0.25, 0.6, 3).tolist(),
+                          quat=(quat / np.linalg.norm(quat)).tolist())
+        with world.ctx.in_phase("narrow"):
+            contacts = contacts_of(world)
+        chunks += [getattr(contacts, name).tobytes() for name in (
+            "body_a", "body_b", "pos", "normal", "depth")]
+        for key, values in census_counts(world.ctx.stats).items():
+            counts[key] = [a + b for a, b in
+                           zip(counts.get(key, [0] * len(values)), values)]
+    return bytes_digest(chunks), counts
 
 
 class TestSphereSphere:
@@ -202,28 +228,15 @@ class TestBoxBox:
             assert np.all(contacts.depth > 0)
             assert np.all(contacts.depth < 0.5)
 
+    @requires_golden_host
     @pytest.mark.parametrize("precision", [8, 23])
     @pytest.mark.parametrize("mode", ["rn", "jam", "trunc"])
     def test_stacked_epilogue_matches_per_pair(self, mode, precision,
                                                monkeypatch):
-        """The census-free bucket clips faces and places edge contacts
-        stacked over pairs; the per-pair functions of the op-for-op
-        path are its oracle, bit for bit."""
+        """The bucket clips faces and places edge contacts stacked over
+        pairs; its contacts and census equal the goldens recorded from
+        the per-pair functions, bit for bit."""
         from repro.physics import narrowphase
-
-        def jumble(seed):
-            rng = np.random.default_rng(seed)
-            world = World(ctx=FPContext({"narrow": precision}, mode=mode,
-                                        census=False))
-            for _ in range(14):
-                quat = rng.standard_normal(4)
-                world.add_box(rng.uniform(-0.9, 0.9, 3).tolist(),
-                              rng.uniform(0.25, 0.6, 3).tolist(),
-                              quat=(quat / np.linalg.norm(quat)).tolist())
-            with world.ctx.in_phase("narrow"):
-                contacts = contacts_of(world)
-            return [getattr(contacts, name).tobytes() for name in (
-                "body_a", "body_b", "pos", "normal", "depth")]
 
         stacked = {}
         for name in ("_clip_incident_faces", "_edge_midpoints"):
@@ -233,12 +246,13 @@ class TestBoxBox:
                 stacked[_name] = stacked.get(_name, 0) + len(pairs)
                 return _original(ctx, pairs, *rest)
             monkeypatch.setattr(narrowphase, name, spy)
-        fast = [jumble(seed) for seed in range(4)]
+        want = load()["box_jumble"][f"{mode}-{precision}"]
+        assert box_jumbles(mode, precision) == (want["free"], {})
         assert stacked["_clip_incident_faces"] > 4
         assert stacked["_edge_midpoints"] > 1
-
-        monkeypatch.setattr(FPContext, "fast_kernel", lambda self: None)
-        assert fast == [jumble(seed) for seed in range(4)]
+        census = want["census"]
+        assert box_jumbles(mode, precision, census=True) == (
+            census["digest"], census["counts"])
 
 
 class TestContactSetInvariants:

@@ -1,10 +1,10 @@
-"""The fast Jacobi solve's impulse scatter against the op-for-op sweep.
+"""The Jacobi solve's impulse scatter against its goldens.
 
-``solve_rows`` runs hand-built row sets twice: once on the reduced-domain
-path (whose wave plan drops the adds on pinned slots and lays each wave
-out as a contiguous prefix) and once with ``fast_kernel`` patched to
-``None``, which takes the op-for-op sweep the census runs.  Velocities
-and impulses must agree bit for bit.
+``solve_rows`` runs hand-built row sets census-free and under the
+census.  The wave plan drops the adds on pinned slots and lays each wave
+out as a contiguous prefix; velocities, impulses and census counts must
+equal the goldens recorded from the op-for-op sweep
+(``tests/engine_goldens.py``), bit for bit.
 """
 
 import numpy as np
@@ -12,6 +12,9 @@ import pytest
 
 from repro.fp.context import FPContext
 from repro.physics import lcp
+
+from .engine_goldens import (bytes_digest, census_counts, load,
+                             requires_golden_host)
 
 _BIG = np.float32(3.0e38)
 
@@ -79,30 +82,33 @@ LAYOUTS = {"ground_heavy": _ground_heavy, "merged_fleet": _merged_fleet,
            "busy_body": _busy_body}
 
 
-def _solve(layout, precision, mode):
+def solve(layout, precision, mode, census=False):
+    """Velocities, impulses and census of one solve of ``layout``."""
     rng = np.random.default_rng(sorted(LAYOUTS).index(layout))
     n_slots, pinned, rows = LAYOUTS[layout](rng)
     # Nonzero pinned velocities: the first gather reads them; the last
     # slot is in no row and must keep its raw incoming velocity.
     vel = rng.standard_normal((n_slots, 6)).astype(np.float32)
-    ctx = FPContext({"lcp": precision}, mode=mode, census=False)
+    ctx = FPContext({"lcp": precision}, mode=mode, census=census)
     with ctx.in_phase("lcp"):
         lcp.solve_rows(ctx, vel, rows, lcp.SolverParams(),
                        np.array(pinned, dtype=np.int64))
-    return vel, rows.lam
+    return vel, rows.lam, ctx.stats
 
 
+@requires_golden_host
 @pytest.mark.parametrize("precision", [9, 23])
 @pytest.mark.parametrize("mode", ["rn", "jam", "trunc"])
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_fast_scatter_matches_op_for_op(layout, mode, precision,
-                                        monkeypatch):
-    fast_vel, fast_lam = _solve(layout, precision, mode)
-    monkeypatch.setattr(FPContext, "fast_kernel", lambda self: None)
-    ref_vel, ref_lam = _solve(layout, precision, mode)
-    assert np.isfinite(fast_vel).all()
-    assert fast_vel.tobytes() == ref_vel.tobytes()
-    assert fast_lam.tobytes() == ref_lam.tobytes()
+def test_fast_scatter_matches_op_for_op(layout, mode, precision):
+    want = load()["scatter"][f"{layout}-{mode}-{precision}"]
+    vel, lam, _ = solve(layout, precision, mode)
+    assert np.isfinite(vel).all()
+    assert bytes_digest([vel.tobytes(), lam.tobytes()]) == want["free"]
+    vel, lam, stats = solve(layout, precision, mode, census=True)
+    assert (bytes_digest([vel.tobytes(), lam.tobytes()])
+            == want["census"]["digest"])
+    assert census_counts(stats) == want["census"]["counts"]
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
