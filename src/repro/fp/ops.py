@@ -55,7 +55,8 @@ class OpSample:
 
     ``nontrivial_operands`` is only populated when the caller requests it
     (memoization runs): a pair of flattened ``uint32`` arrays holding the
-    reduced encodings of the non-trivial elements, in element order.
+    reduced encodings of the non-trivial elements, in element order, and
+    ``nontrivial_lanes`` their flat element indices.
     """
 
     op: str
@@ -65,6 +66,7 @@ class OpSample:
     nontrivial_operands: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False
     )
+    nontrivial_lanes: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def nontrivial(self) -> int:
@@ -93,6 +95,7 @@ def _census(op: str, masks: TrivialMasks, abits, bbits,
             abits.ravel()[keep].copy(),
             bbits.ravel()[keep].copy(),
         )
+        sample.nontrivial_lanes = np.flatnonzero(keep)
     return sample
 
 

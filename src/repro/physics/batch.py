@@ -17,11 +17,13 @@ so each body's impulse-application order is preserved by the solver's
 stable incidence sort.  The serve layer leans on this: coalescing
 sessions into a fleet must not perturb a single digest.
 
-Eligibility mirrors the reduced-domain fast paths: fleet stepping only
-engages census-free, without fault injection, guards, tracers, per-step
-hooks or warm starting, and all members must agree on timestep, solver
-parameters and precision configuration.  Anything else raises
-:class:`BatchIncompatible` — callers fall back to per-world stepping.
+The fleet runs every op on one shared context, so fleet stepping only
+engages census-free and without fault injection (a census and a fault
+stream belong to one world's context), without guards, tracers,
+per-step hooks or warm starting, and all members must agree on
+timestep, solver parameters and precision configuration.  Anything
+else raises :class:`BatchIncompatible` — callers fall back to per-world
+stepping.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ class BatchIncompatible(ValueError):
 
 def fleet_ineligibility(world) -> Optional[str]:
     """Why this world cannot join any fleet, or ``None`` if it can."""
-    if world.ctx.fast_kernel() is None:
-        return "census or fault injection enabled"
+    if world.ctx.census:
+        return "census enabled"
+    if world.ctx.injector is not None:
+        return "fault injection enabled"
     if world.guards is not None:
         return "phase guards installed"
     if world.observer is not None:

@@ -103,69 +103,36 @@ class Cloth:
 
     def solve_constraints(self, ctx: FPContext, dt: float,
                           iterations: int, beta: float = 0.2) -> None:
-        """Velocity-level Jacobi relaxation of the distance constraints."""
+        """Velocity-level Jacobi relaxation of the distance constraints.
+
+        Runs as whole-array passes through the context's kernel.
+        Positions don't move during the velocity solve, so the edge
+        geometry (direction, rest-length error, bias) is computed once
+        before the iterations; its census is replayed at the start of
+        every later iteration, where hardware recomputes it.
+        """
         if iterations <= 0:
             return
-        kern = ctx.fast_kernel()
-        if kern is not None:
-            self._solve_constraints_fast(kern, dt, iterations, beta)
-            return
-        wa = self.invmass[self.edge_a]
-        wb = self.invmass[self.edge_b]
-        w_sum = np.maximum(wa + wb, 1e-9).astype(np.float32)
-        bias_scale = np.float32(beta / dt)
-
-        for _ in range(iterations):
-            delta = ctx.sub(self.pos[self.edge_b], self.pos[self.edge_a])
-            direction, length = math3d.normalize(ctx, delta)
-            error = ctx.sub(length, self.rest_length)
-            rel = math3d.dot(
-                ctx, direction,
-                ctx.sub(self.vel[self.edge_b], self.vel[self.edge_a]))
-            target = ctx.add(rel, ctx.mul(bias_scale, error))
-            lam = ctx.div(target, w_sum)  # impulse magnitude along edge
-            impulse = math3d.scale(ctx, direction, lam)
-            # Jacobi accumulate with averaging by particle degree.
-            acc = np.zeros_like(self.vel)
-            np.add.at(acc, self.edge_a, impulse * wa[:, None])
-            np.add.at(acc, self.edge_b, -impulse * wb[:, None])
-            degree = np.zeros(len(self.pos), dtype=np.float32)
-            np.add.at(degree, self.edge_a, 1.0)
-            np.add.at(degree, self.edge_b, 1.0)
-            degree = np.maximum(degree, 1.0)
-            self.vel = ctx.add(self.vel, acc / degree[:, None])
-
-    def _solve_constraints_fast(self, kern, dt: float, iterations: int,
-                                beta: float) -> None:
-        """Reduced-domain relaxation (census-free path).
-
-        Positions don't move during the velocity solve, so the edge
-        geometry (direction, rest-length error, bias) — which the
-        op-for-op loop recomputes to identical values every iteration —
-        is hoisted out; the remaining per-iteration ops run as reduced
-        whole-array passes and reproduce the legacy bits exactly.
-        """
+        kern = ctx.kernel()
         ea, eb = self.edge_a, self.edge_b
         wa = self.invmass[ea]
         wb = self.invmass[eb]
         w_sum = np.maximum(wa + wb, 1e-9).astype(np.float32)
 
-        pa = kern.enter(self.pos[ea])
-        pb = kern.enter(self.pos[eb])
-        delta = kern.binop(np.subtract, pb, pa)
-        prod = kern.binop(np.multiply, delta, delta)
-        d2 = kern.binop(np.add, kern.binop(np.add, prod[:, 0], prod[:, 1]),
-                        prod[:, 2])
-        with np.errstate(invalid="ignore"):
-            length = np.sqrt(d2)
-        safe = np.where(length > 1e-12, length, np.float32(1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direction = np.divide(delta, safe[:, None])
-        dir_r = kern.enter(direction)
-        error = kern.binop(np.subtract, kern.enter(length),
-                           kern.enter(self.rest_length))
-        biased = kern.binop(np.multiply,
-                            kern.enter(np.float32(beta / dt)), error)
+        with kern.record() as geometry:
+            pa = kern.enter(self.pos[ea])
+            pb = kern.enter(self.pos[eb])
+            delta = kern.binop(np.subtract, pb, pa)
+            prod = kern.binop(np.multiply, delta, delta)
+            d2 = kern.binop(np.add, kern.binop(np.add, prod[:, 0],
+                                               prod[:, 1]), prod[:, 2])
+            length = kern.sqrt(d2)
+            safe = np.where(length > 1e-12, length, np.float32(1.0))
+            dir_r = kern.enter(kern.div(delta, safe[:, None]))
+            error = kern.binop(np.subtract, kern.enter(length),
+                               kern.enter(self.rest_length))
+            biased = kern.binop(np.multiply,
+                                kern.enter(np.float32(beta / dt)), error)
 
         degree = np.zeros(len(self.pos), dtype=np.float32)
         np.add.at(degree, ea, 1.0)
@@ -175,16 +142,18 @@ class Cloth:
         wb_col = wb[:, None]
 
         velr = kern.enter(self.vel)
-        for _ in range(iterations):
+        for iteration in range(iterations):
+            if iteration:
+                kern.replay(geometry)
             vd = kern.binop(np.subtract, velr[eb], velr[ea])
             p = kern.binop(np.multiply, dir_r, vd)
             rel = kern.binop(np.add, kern.binop(np.add, p[:, 0], p[:, 1]),
                              p[:, 2])
             target = kern.binop(np.add, rel, biased)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = np.divide(target, w_sum)
+            lam = kern.div(target, w_sum)  # impulse magnitude along edge
             impulse = kern.binop(np.multiply, dir_r,
                                  kern.enter(lam)[:, None])
+            # Jacobi accumulate with averaging by particle degree.
             acc = np.zeros_like(self.vel)
             np.add.at(acc, ea, impulse * wa_col)
             np.add.at(acc, eb, -impulse * wb_col)

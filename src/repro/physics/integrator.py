@@ -34,17 +34,20 @@ def apply_gravity(
 
 
 def integrate(ctx: FPContext, bodies: BodyStore, dt: float) -> None:
-    """Advance positions and orientations by the (post-solve) velocities."""
+    """Advance positions and orientations by the (post-solve) velocities.
+
+    This is the last FP work of a step, so it ends by flushing the
+    context's queued memo probes: the step's census is complete when
+    the step returns, and the probing is part of the step.
+    """
     n = bodies.count
-    if n == 0:
-        return
-    awake = ~bodies.asleep[:n]
-    dt32 = np.float32(dt)
-
-    step = math3d.scale(ctx, bodies.linvel[:n], dt32)
-    new_pos = ctx.add(bodies.pos[:n], step)
-    bodies.pos[:n] = np.where(awake[:, None], new_pos, bodies.pos[:n])
-
-    new_quat = math3d.quat_integrate(ctx, bodies.quat[:n],
-                                     bodies.angvel[:n], dt)
-    bodies.quat[:n] = np.where(awake[:, None], new_quat, bodies.quat[:n])
+    if n:
+        awake = ~bodies.asleep[:n]
+        step = math3d.scale(ctx, bodies.linvel[:n], np.float32(dt))
+        new_pos = ctx.add(bodies.pos[:n], step)
+        bodies.pos[:n] = np.where(awake[:, None], new_pos, bodies.pos[:n])
+        new_quat = math3d.quat_integrate(ctx, bodies.quat[:n],
+                                         bodies.angvel[:n], dt)
+        bodies.quat[:n] = np.where(awake[:, None], new_quat,
+                                   bodies.quat[:n])
+    ctx.flush()

@@ -220,22 +220,14 @@ def _contact_rows(ctx, bodies, contacts, dt, params):
 
 
 def _joint_rows(ctx, bodies, joints, dt, params):
-    """Three equality rows per ball joint; five per hinge."""
-    if ctx.fast_kernel() is None:
-        return _joint_rows_ref(ctx, bodies, joints, dt, params)
-    return _joint_rows_fast(ctx, bodies, joints, dt, params)
+    """Three equality rows per ball joint; five per hinge.
 
-
-def _joint_rows_fast(ctx, bodies, joints, dt, params):
-    """All joints as one stacked pass (census-free path).
-
-    Emits bit-for-bit the rows :func:`_joint_rows_ref` builds, in the
-    same order — ball point rows first, then per hinge three point rows
-    followed by two axis rows.  Anchor geometry runs through the same
-    elementwise context ops, just batched over the joint axis; only the
-    hinge axis-misalignment rhs keeps a scalar loop, because the legacy
-    value is a float64 BLAS dot whose bits a float32 array pass would
-    not reproduce.
+    All joints run as one stacked pass, rows in per-joint order: ball
+    point rows first, then per hinge three point rows followed by two
+    axis rows.  Anchor geometry runs through elementwise context ops
+    batched over the joint axis; only the hinge axis-misalignment rhs
+    keeps a scalar loop, a float64 BLAS dot whose bits a float32 array
+    pass would not reproduce.
     """
     pos = bodies.view("pos")
     rot = bodies.view("rot")
@@ -331,77 +323,6 @@ def _joint_rows_fast(ctx, bodies, joints, dt, params):
     }
 
 
-def _joint_rows_ref(ctx, bodies, joints, dt, params):
-    """Per-joint row builder (census / fault-injection path)."""
-    pos = bodies.view("pos")
-    rot = bodies.view("rot")
-    rows = {k: [] for k in ("ia", "ib", "jla", "jaa", "jlb", "jab", "rhs")}
-
-    world_index = bodies.world_index
-
-    def _resolve(body):
-        return world_index if body < 0 else body
-
-    def _point_rows(body_a, body_b, local_a, local_b):
-        body_a, body_b = _resolve(body_a), _resolve(body_b)
-        ra = math3d.matvec(ctx, rot[body_a][None], local_a[None])[0]
-        rb = math3d.matvec(ctx, rot[body_b][None], local_b[None])[0]
-        wa = ctx.add(pos[body_a], ra)
-        wb = ctx.add(pos[body_b], rb)
-        error = ctx.sub(wb, wa)  # want -> 0
-        for axis in range(3):
-            e = np.zeros(3, dtype=np.float32)
-            e[axis] = 1.0
-            rows["ia"].append(body_a)
-            rows["ib"].append(body_b)
-            rows["jla"].append(-e)
-            rows["jaa"].append(-np.cross(ra, e).astype(np.float32))
-            rows["jlb"].append(e)
-            rows["jab"].append(np.cross(rb, e).astype(np.float32))
-            rows["rhs"].append(
-                np.float32(params.beta / dt) * error[axis])
-
-    def _axis_rows(body_a, body_b, axis_a, axis_b):
-        body_a, body_b = _resolve(body_a), _resolve(body_b)
-        world_a = math3d.matvec(ctx, rot[body_a][None], axis_a[None])[0]
-        world_b = math3d.matvec(ctx, rot[body_b][None], axis_b[None])[0]
-        # Two directions perpendicular to the hinge axis of body A.
-        p, q = _orthonormal_tangents(world_a[None, :])
-        p, q = p[0], q[0]
-        misalign = np.cross(world_a, world_b).astype(np.float32)
-        zero3 = np.zeros(3, dtype=np.float32)
-        for direction in (p, q):
-            rows["ia"].append(body_a)
-            rows["ib"].append(body_b)
-            rows["jla"].append(zero3)
-            rows["jaa"].append(-direction)
-            rows["jlb"].append(zero3)
-            rows["jab"].append(direction)
-            rows["rhs"].append(
-                np.float32(params.beta / dt) * float(misalign @ direction))
-
-    for joint in joints.ball_joints:
-        _point_rows(joint.body_a, joint.body_b, joint.local_a, joint.local_b)
-    for joint in joints.hinge_joints:
-        _point_rows(joint.body_a, joint.body_b, joint.local_a, joint.local_b)
-        _axis_rows(joint.body_a, joint.body_b, joint.axis_a, joint.axis_b)
-
-    count = len(rows["rhs"])
-    return {
-        "ia": np.array(rows["ia"], dtype=np.int32),
-        "ib": np.array(rows["ib"], dtype=np.int32),
-        "jla": np.stack(rows["jla"]).astype(np.float32),
-        "jaa": np.stack(rows["jaa"]).astype(np.float32),
-        "jlb": np.stack(rows["jlb"]).astype(np.float32),
-        "jab": np.stack(rows["jab"]).astype(np.float32),
-        "rhs": np.array(rows["rhs"], dtype=np.float32),
-        "lo": np.full(count, -_BIG, dtype=np.float32),
-        "hi": np.full(count, _BIG, dtype=np.float32),
-        "mu": np.zeros(count, dtype=np.float32),
-        "normal_index": np.full(count, -1, dtype=np.int32),
-    }
-
-
 def _tree_sum(ctx, arr: np.ndarray) -> np.ndarray:
     """Sum an (R, W) array over axis 1 with reduced pairwise adds."""
     while arr.shape[1] > 1:
@@ -453,29 +374,6 @@ def _finalize(ctx, bodies, rows: ConstraintRows, params) -> None:
     d = ctx.add(d, np.float32(params.cfm))
     rows.inv_d = ctx.div(np.float32(1.0), d)
     rows.lam = np.zeros(len(rows), dtype=np.float32)
-
-
-class _Scatter:
-    """Precomputed incidence waves for vectorized impulse scatter.
-
-    The 2R (row, side) incidences are sorted by body; wave ``k`` applies
-    the k-th incidence of every body that has one.  Each wave is a single
-    reduced ``ctx.add`` with no zero padding, so the trivialization census
-    sees exactly the adds real hardware would execute.
-    """
-
-    def __init__(self, rows: ConstraintRows, n_slots: int) -> None:
-        inc_body = np.concatenate([rows.ia, rows.ib]).astype(np.int64)
-        self.order = np.argsort(inc_body, kind="stable")
-        sorted_body = inc_body[self.order]
-        counts = np.bincount(sorted_body, minlength=n_slots)
-        starts = np.zeros(n_slots, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        self.waves = []
-        max_degree = int(counts.max()) if len(counts) else 0
-        for k in range(max_degree):
-            body_idx = np.nonzero(counts > k)[0]
-            self.waves.append((body_idx, starts[body_idx] + k))
 
 
 def _color_rows(rows: ConstraintRows, world_index: int):
@@ -540,78 +438,27 @@ def solve_rows(
     """
     if len(rows) == 0 or params.iterations <= 0:
         return
-    kern = ctx.fast_kernel()
-    if kern is not None:
-        _solve_jacobi_fast(kern, vel, rows, params, pinned)
-    else:
-        _solve_jacobi_ref(ctx, vel, rows, params, pinned)
-
-
-def _solve_jacobi_ref(ctx, vel, rows, params, pinned):
-    """Op-for-op Jacobi sweep (census / fault-injection path)."""
-    n_slots = vel.shape[0]
-    scatter = _Scatter(rows, n_slots)
-    jac = rows.jacobian
-    inv_mass_jt = rows.inv_mass_jt
-    ia, ib = rows.ia, rows.ib
-
-    friction_idx = np.nonzero(rows.normal_index >= 0)[0]
-    friction_normals = rows.normal_index[friction_idx]
-    mu_f = rows.mu[friction_idx]
-    lo = rows.lo.copy()
-    hi = rows.hi.copy()
-    lam = rows.lam
-    # Negation is a sign-bit flip outside the context; hoisted out of
-    # the iteration loop.
-    neg_inv_d = -rows.inv_d
-
-    for _ in range(params.iterations):
-        # Constraint-space velocity of every row: J . v as one big
-        # elementwise multiply plus a pairwise reduction tree.
-        gathered = np.concatenate([vel[ia], vel[ib]], axis=1)
-        rel = _tree_sum(ctx, ctx.mul(jac, gathered))
-
-        if len(friction_idx):
-            # Coulomb box bounds follow the live normal impulses.
-            bound = ctx.mul(mu_f, lam[friction_normals])
-            lo[friction_idx] = -bound
-            hi[friction_idx] = bound
-
-        # lam + (rel + rhs) * -inv_d, the dlam update fused into one
-        # axpy kernel on the census-free path.
-        new_lam = np.clip(ctx.axpy(ctx.add(rel, rows.rhs), neg_inv_d, lam),
-                          lo, hi)
-        delta = ctx.sub(new_lam, lam)
-        lam = new_lam
-
-        # Per-row velocity deltas, scattered one incidence wave at a time
-        # (each wave is a real, precision-reduced FP add).
-        dvw = ctx.mul(inv_mass_jt, delta[:, None])
-        inc = np.concatenate([dvw[:, :6], dvw[:, 6:]], axis=0)[scatter.order]
-        for body_idx, inc_pos in scatter.waves:
-            vel[body_idx] = ctx.add(vel[body_idx], inc[inc_pos])
-        vel[pinned] = 0.0  # keep the virtual world bodies pinned
-
-    rows.lam = lam
+    _solve_jacobi(ctx.kernel(), vel, rows, params, pinned)
 
 
 class _WavePlan:
-    """The impulse scatter of one reduced-domain Jacobi solve.
+    """The impulse scatter of one Jacobi solve.
 
-    Every body receives its impulses in the order :class:`_Scatter`
-    applies them -- row order, all ``ia`` sides before all ``ib`` sides
-    -- so no bit changes, but each wave becomes a few contiguous slices:
+    The 2R (row, side) incidences are applied body by body in row order,
+    all ``ia`` sides before all ``ib`` sides; wave ``k`` adds the k-th
+    impulse of every body that has one, one kernel add per wave with no
+    zero padding, so the census sees exactly the adds real hardware
+    would execute.  Each wave is a few contiguous slices:
 
-    * incidences on ``pinned`` slots are dropped: those velocities are
-      zeroed after every iteration, before anything reads them;
-    * the remaining bodies sit in :attr:`vel` by descending degree, so
-      wave ``k`` (the k-th impulse of every body that has one) is the
-      prefix ``vel[:n_k]`` plus one block of the wave-ordered increment
-      buffer;
-    * each wave's float32 and uint32 views are built once, so a wave
-      costs one add plus the in-place rounding.
+    * the bodies sit in :attr:`vel` by descending degree, so wave ``k``
+      is the prefix ``vel[:n_k]`` plus one block of the wave-ordered
+      increment buffer, and its float32 and uint32 views are built once;
+    * incidences on ``pinned`` slots leave the waves: those velocities
+      are zeroed after every iteration, before anything reads them.  A
+      counting kernel still gets their adds, every iteration's chain
+      stacked into one set of waves after the solve (:meth:`finish`).
 
-    :attr:`vel` holds the reduced velocities of the dynamic bodies, then
+    :attr:`vel` holds the entered velocities of the dynamic bodies, then
     of the pinned slots the rows touch (read by the first gather only).
     """
 
@@ -627,39 +474,37 @@ class _WavePlan:
         inc_src = np.concatenate([np.arange(0, 2 * n_rows, 2),
                                   np.arange(1, 2 * n_rows, 2)])
         live = ~is_pinned[inc_body]
-        order = np.argsort(inc_body[live], kind="stable")
-        body = inc_body[live][order]
-        src = inc_src[live][order]
-        dyn, first, degree = np.unique(body, return_index=True,
-                                       return_counts=True)
-        by_degree = np.argsort(-degree, kind="stable")
-        self.dynamic = dyn[by_degree]
+        self.dynamic, self._src, sizes = _wave_layout(inc_body[live],
+                                                      inc_src[live])
         slots = np.concatenate([self.dynamic, np.unique(inc_body[~live])])
         compact = np.zeros(vel.shape[0], dtype=np.int64)
         compact[slots] = np.arange(len(slots))
-
-        # Wave k holds the bodies of degree > k: a prefix of the order.
-        n_dyn = len(self.dynamic)
-        degree_hist = np.bincount(degree, minlength=1)
-        sizes = n_dyn - np.cumsum(degree_hist)[:-1]
-        starts = np.concatenate([[0], np.cumsum(sizes)])
-        rank = np.arange(len(body)) - np.repeat(first, degree)
-        self._src = np.empty(len(body), dtype=np.int64)
-        self._src[starts[rank] + compact[body]] = src
         self._gather = np.empty(2 * n_rows, dtype=np.int64)
         self._gather[0::2] = compact[rows.ia]
         self._gather[1::2] = compact[rows.ib]
 
+        n_dyn = len(self.dynamic)
         self.vel = kern.enter(vel[slots])
         self._pinned_tail = self.vel[n_dyn:]
-        self._inc = np.empty((len(body), 6), dtype=np.float32)
+        self._inc = np.empty((len(self._src), 6), dtype=np.float32)
         scratch = np.empty(6 * n_dyn, dtype=np.uint32)
         self._waves = []
-        for k, size in enumerate(sizes):
+        start = 0
+        for size in sizes:
             prefix = self.vel[:size]
             self._waves.append((prefix, prefix.reshape(-1).view(np.uint32),
-                                self._inc[starts[k]:starts[k + 1]],
+                                self._inc[start:start + size],
                                 scratch[:6 * size]))
+            start += size
+
+        #: per iteration, the pinned-slot increments a counting kernel
+        #: adds up in :meth:`finish`
+        self._discarded = None
+        if kern.counts and not live.all():
+            self._pinned_slots, self._pinned_src, self._pinned_sizes = \
+                _wave_layout(inc_body[~live], inc_src[~live])
+            self._pinned_start = vel[self._pinned_slots]
+            self._discarded = []
 
     def gather(self, out: np.ndarray) -> None:
         """``out[r] = [vel[ia[r]] | vel[ib[r]]]`` for an ``(R, 12)`` out."""
@@ -669,35 +514,87 @@ class _WavePlan:
                 mode="clip")
 
     def scatter(self, dvw: np.ndarray) -> None:
-        """Apply one iteration's ``(R, 12)`` reduced per-row increments."""
-        np.take(dvw.reshape(-1, 6), self._src, axis=0, out=self._inc,
+        """Apply one iteration's ``(R, 12)`` per-row increments."""
+        increments = dvw.reshape(-1, 6)
+        np.take(increments, self._src, axis=0, out=self._inc,
                 mode="clip")  # in range, as in gather()
-        reduce_bits_ = self.kern.reduce_bits_
-        for prefix, bits, inc, scratch in self._waves:
-            np.add(prefix, inc, out=prefix)
-            reduce_bits_(bits, scratch)
+        self.kern.add_waves(self._waves)
+        if self._discarded is not None:
+            self._discarded.append(np.take(increments, self._pinned_src,
+                                           axis=0))
         self._pinned_tail[:] = 0.0
 
+    def finish(self) -> None:
+        """Hand a counting kernel the pinned slots' adds of every
+        iteration: chain (slot, iteration) starts from the slot's
+        incoming velocity in the first iteration and from zero after."""
+        if not self._discarded:
+            return
+        iterations = len(self._discarded)
+        per_iteration = len(self._pinned_src)
+        n_slots = len(self._pinned_slots)
+        start = np.zeros((n_slots, iterations, 6), dtype=np.float32)
+        start[:, 0] = self._pinned_start
+        offsets = np.concatenate(
+            [[0], np.cumsum(self._pinned_sizes)[:-1]])
+        steps = np.arange(iterations) * per_iteration
+        index = np.concatenate(
+            [(steps[None, :] + (offset + np.arange(size))[:, None]).ravel()
+             for offset, size in zip(offsets, self._pinned_sizes)])
+        self.kern.discarded_adds(start.reshape(-1, 6),
+                                 np.concatenate(self._discarded), index,
+                                 [iterations * size
+                                  for size in self._pinned_sizes])
 
-def _solve_jacobi_fast(kern, vel, rows, params, pinned):
-    """Census-free Jacobi sweep executed in the reduced domain.
 
-    Every solver input is pre-reduced once and only op *results* are
-    rounded afterwards: rounding is idempotent in all three modes, so
-    ``round(op(round(a), round(b)))`` equals the fused round-a/round-b/
-    op/round-result kernel bit for bit while running ~6 ufuncs per op
-    instead of ~16 (and no per-op context dispatch).  ``lam`` keeps a
-    raw master beside the reduced shadow because its legacy values can
+def _wave_layout(inc_body: np.ndarray, inc_src: np.ndarray):
+    """Order incidences into waves.
+
+    Returns the bodies by descending degree, the incidence sources in
+    wave order (wave ``k`` holds the k-th incidence, in the given order,
+    of every body of degree > k, bodies in that order) and the wave
+    sizes.
+    """
+    order = np.argsort(inc_body, kind="stable")
+    body = inc_body[order]
+    src = inc_src[order]
+    bodies, first, degree = np.unique(body, return_index=True,
+                                      return_counts=True)
+    by_degree = np.argsort(-degree, kind="stable")
+    bodies = bodies[by_degree]
+    rank = np.empty(len(bodies), dtype=np.int64)
+    rank[by_degree] = np.arange(len(bodies))
+    degree_hist = np.bincount(degree, minlength=1)
+    sizes = len(bodies) - np.cumsum(degree_hist)[:-1]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    position = np.arange(len(body)) - np.repeat(first, degree)
+    wave_src = np.empty(len(body), dtype=np.int64)
+    wave_src[starts[position] + rank[np.repeat(np.arange(len(first)),
+                                               degree)]] = src
+    return bodies, wave_src, sizes
+
+
+def _solve_jacobi(kern, vel, rows, params, pinned):
+    """Jacobi sweep executed through the context's kernel.
+
+    Every solver input enters the kernel once: census-free, that
+    pre-reduces it, and only op *results* are rounded afterwards
+    (rounding is idempotent in all three modes, so ``round(op(round(a),
+    round(b)))`` equals the fused round-a/round-b/op/round-result kernel
+    bit for bit); under the census, inputs enter raw and every op rounds
+    its operands, because bypass lanes keep unreduced values.  ``lam``
+    keeps a raw master beside the entered shadow because its values can
     leave the reduced domain (``np.clip`` against unreduced bounds like
     ``_BIG``); the velocities live in the :class:`_WavePlan`, and slots
-    no row touches keep their incoming raw values.
+    no row touches keep their incoming raw values.  Operand order
+    follows ``lam + (rel + rhs) * -inv_d``: it decides bypass ties and
+    memo keys.
     """
     plan = _WavePlan(kern, rows, vel, pinned)
     jac = kern.enter(rows.jacobian)
     imjt = kern.enter(rows.inv_mass_jt)
     rhs = kern.enter(rows.rhs)
-    # ctx.div does not round its result, so inv_d arrives raw; enter it
-    # once (the operand reduction every downstream op applied to it).
+    # ctx.div does not round its result, so inv_d arrives raw.
     neg_inv_d = kern.enter(-rows.inv_d)
 
     friction_idx = np.nonzero(rows.normal_index >= 0)[0]
@@ -707,7 +604,7 @@ def _solve_jacobi_fast(kern, vel, rows, params, pinned):
     lo = rows.lo.copy()
     hi = rows.hi.copy()
     lam = rows.lam            # raw master (post-clip values)
-    lamr = kern.enter(lam)    # reduced shadow (what ops actually read)
+    lamr = kern.enter(lam)    # entered shadow (what ops actually read)
 
     r_count = len(rows)
     gath = np.empty((r_count, 12), dtype=np.float32)
@@ -720,41 +617,34 @@ def _solve_jacobi_fast(kern, vel, rows, params, pinned):
 
     for _ in range(params.iterations):
         plan.gather(gath)
-        # J . v: elementwise multiply + the same pairwise reduction tree
+        # J . v: elementwise multiply + the pairwise reduction tree
         # _tree_sum walks for width 12 (6, 3, then cols 0+1, then +2).
-        np.multiply(jac, gath, out=prod)
-        kern.reduce_(prod)
-        np.add(prod[:, :6], prod[:, 6:], out=t6)
-        kern.reduce_(t6)
-        np.add(t6[:, :3], t6[:, 3:], out=t3)
-        kern.reduce_(t3)
-        np.add(t3[:, 0], t3[:, 1], out=t2)
-        kern.reduce_(t2)
-        np.add(t2, t3[:, 2], out=acc)
-        kern.reduce_(acc)
+        kern.binop_at(np.multiply, jac, gath, prod)
+        kern.binop_at(np.add, prod[:, :6], prod[:, 6:], t6)
+        kern.binop_at(np.add, t6[:, :3], t6[:, 3:], t3)
+        kern.binop_at(np.add, t3[:, 0], t3[:, 1], t2)
+        kern.binop_at(np.add, t2, t3[:, 2], acc)
 
         if has_friction:
+            # Coulomb box bounds follow the live normal impulses.
             bound = kern.binop(np.multiply, mu_f, lamr[friction_normals])
             lo[friction_idx] = -bound
             hi[friction_idx] = bound
 
         # lam + (rel + rhs) * -inv_d, then clip against the raw bounds.
-        np.add(acc, rhs, out=acc)
-        kern.reduce_(acc)
-        np.multiply(acc, neg_inv_d, out=acc)
-        kern.reduce_(acc)
-        np.add(acc, lamr, out=acc)
-        kern.reduce_(acc)
+        kern.binop_at(np.add, acc, rhs, acc)
+        kern.binop_at(np.multiply, acc, neg_inv_d, acc)
+        kern.binop_at(np.add, lamr, acc, acc)
         new_lam = np.clip(acc, lo, hi)
         new_lamr = kern.enter(new_lam)
         delta = kern.binop(np.subtract, new_lamr, lamr)
         lam = new_lam
         lamr = new_lamr
 
-        np.multiply(imjt, delta[:, None], out=dvw)
-        kern.reduce_(dvw)
+        kern.binop_at(np.multiply, imjt, delta[:, None], dvw)
         plan.scatter(dvw)
 
+    plan.finish()
     rows.lam = lam
     vel[plan.dynamic] = plan.vel[:len(plan.dynamic)]
     vel[pinned] = 0.0
@@ -804,64 +694,20 @@ def _solve_gauss_seidel(
 
     if params.iterations > 0 and len(rows):
         batches = _color_rows(rows, world_index)
-        kern = ctx.fast_kernel()
-        if kern is not None:
-            _gs_sweep_fast(kern, vel, rows, params, batches, world_index)
-        else:
-            _gs_sweep_ref(ctx, vel, rows, params, batches, world_index)
+        _gs_sweep(ctx.kernel(), vel, rows, params, batches, world_index)
 
     linvel[:] = vel[:, :3]
     angvel[:] = vel[:, 3:]
 
 
-def _gs_sweep_ref(ctx, vel, rows, params, batches, world_index):
-    """Op-for-op colored sweep (census / fault-injection path)."""
-    jac = rows.jacobian
-    inv_mass_jt = rows.inv_mass_jt
-    lam = rows.lam
-    lo = rows.lo.copy()
-    hi = rows.hi.copy()
-    neg_inv_d = -rows.inv_d
+def _gs_sweep(kern, vel, rows, params, batches, world_index):
+    """Colored sweep through the context's kernel.
 
-    for _ in range(params.iterations):
-        for batch in batches:
-            ia = rows.ia[batch]
-            ib = rows.ib[batch]
-            gathered = np.concatenate([vel[ia], vel[ib]], axis=1)
-            rel = _tree_sum(ctx, ctx.mul(jac[batch], gathered))
-
-            friction = rows.normal_index[batch] >= 0
-            if friction.any():
-                f_rows = batch[friction]
-                bound = ctx.mul(rows.mu[f_rows],
-                                lam[rows.normal_index[f_rows]])
-                lo[f_rows] = -bound
-                hi[f_rows] = bound
-
-            new_lam = np.clip(
-                ctx.axpy(ctx.add(rel, rows.rhs[batch]), neg_inv_d[batch],
-                         lam[batch]),
-                lo[batch], hi[batch])
-            delta = ctx.sub(new_lam, lam[batch])
-            lam[batch] = new_lam
-
-            dvw = ctx.mul(inv_mass_jt[batch], delta[:, None])
-            # Bodies are unique within a batch (except the pinned world
-            # body), so direct indexed adds are conflict-free.
-            vel[ia] = ctx.add(vel[ia], dvw[:, :6])
-            vel[ib] = ctx.add(vel[ib], dvw[:, 6:])
-            vel[world_index] = 0.0
-
-    rows.lam = lam
-
-
-def _gs_sweep_fast(kern, vel, rows, params, batches, world_index):
-    """Census-free colored sweep in the reduced domain.
-
-    Same raw-master/reduced-shadow structure as
-    :func:`_solve_jacobi_fast`; the ``lamr`` shadow is updated batch by
-    batch so later color batches read earlier batches' impulses exactly
-    as the sequential relaxation does.
+    Same raw-master/entered-shadow structure as :func:`_solve_jacobi`;
+    the ``lamr`` shadow is updated batch by batch so later color batches
+    read earlier batches' impulses exactly as the sequential relaxation
+    does.  Bodies are unique within a batch except the pinned world
+    body, whose adds run (and are counted) but are overwritten.
     """
     jac = kern.enter(rows.jacobian)
     imjt = kern.enter(rows.inv_mass_jt)
@@ -897,7 +743,7 @@ def _gs_sweep_fast(kern, vel, rows, params, batches, world_index):
 
             acc = kern.binop(np.add, rel, rhs[batch])
             acc = kern.binop(np.multiply, acc, neg_inv_d[batch])
-            acc = kern.binop(np.add, acc, lamr[batch])
+            acc = kern.binop(np.add, lamr[batch], acc)
             new_lam = np.clip(acc, lo[batch], hi[batch])
             new_lamr = kern.enter(new_lam)
             delta = kern.binop(np.subtract, new_lamr, lamr[batch])
@@ -990,45 +836,35 @@ def apply_warm_start_impulses(
     vel = np.concatenate(
         [bodies.view("linvel"), bodies.view("angvel")], axis=1
     ).astype(np.float32)
-    kern = ctx.fast_kernel()
-    if kern is None:
-        dvw = ctx.mul(rows.inv_mass_jt[seeded], rows.lam[seeded][:, None])
-        # Sequential per-row application keeps conflicting rows correct.
-        for i, r in enumerate(seeded):
-            ia, ib = int(rows.ia[r]), int(rows.ib[r])
-            vel[ia] = ctx.add(vel[ia], dvw[i, :6])
-            vel[ib] = ctx.add(vel[ib], dvw[i, 6:])
-        vel[bodies.world_index] = 0.0
-    else:
-        imjt = kern.enter(rows.inv_mass_jt[seeded])
-        lamr = kern.enter(rows.lam[seeded][:, None])
-        dvw = kern.binop(np.multiply, imjt, lamr)
-        # Wave-structured scatter, bit-identical to the sequential loop:
-        # incidences are interleaved (row's ia side, then its ib side) so
-        # the stable sort keeps each body's adds in the exact order the
-        # loop applied them; adds on different bodies are independent.
-        s = len(seeded)
-        inc_body = np.empty(2 * s, dtype=np.int64)
-        inc_body[0::2] = rows.ia[seeded]
-        inc_body[1::2] = rows.ib[seeded]
-        inc = np.empty((2 * s, 6), dtype=np.float32)
-        inc[0::2] = dvw[:, :6]
-        inc[1::2] = dvw[:, 6:]
-        order = np.argsort(inc_body, kind="stable")
-        inc = np.ascontiguousarray(inc[order])
-        sorted_body = inc_body[order]
-        counts = np.bincount(sorted_body, minlength=vel.shape[0])
-        starts = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        velr = kern.enter(vel)
-        for k in range(int(counts.max())):
-            body_idx = np.nonzero(counts > k)[0]
-            chunk = velr[body_idx]
-            np.add(chunk, inc[starts[body_idx] + k], out=chunk)
-            kern.reduce_(chunk)
-            velr[body_idx] = chunk
-        touched = np.unique(inc_body)
-        vel[touched] = velr[touched]
-        vel[bodies.world_index] = 0.0
+    kern = ctx.kernel()
+    imjt = kern.enter(rows.inv_mass_jt[seeded])
+    lamr = kern.enter(rows.lam[seeded][:, None])
+    dvw = kern.binop(np.multiply, imjt, lamr)
+    # Wave-structured scatter, bit-identical to applying the rows one by
+    # one: incidences are interleaved (row's ia side, then its ib side)
+    # so the stable sort keeps each body's adds in row order; adds on
+    # different bodies are independent.  The world body's adds run too.
+    s = len(seeded)
+    inc_body = np.empty(2 * s, dtype=np.int64)
+    inc_body[0::2] = rows.ia[seeded]
+    inc_body[1::2] = rows.ib[seeded]
+    inc = np.empty((2 * s, 6), dtype=np.float32)
+    inc[0::2] = dvw[:, :6]
+    inc[1::2] = dvw[:, 6:]
+    order = np.argsort(inc_body, kind="stable")
+    inc = np.ascontiguousarray(inc[order])
+    sorted_body = inc_body[order]
+    counts = np.bincount(sorted_body, minlength=vel.shape[0])
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    velr = kern.enter(vel)
+    for k in range(int(counts.max())):
+        body_idx = np.nonzero(counts > k)[0]
+        chunk = velr[body_idx]
+        kern.binop_at(np.add, chunk, inc[starts[body_idx] + k], chunk)
+        velr[body_idx] = chunk
+    touched = np.unique(inc_body)
+    vel[touched] = velr[touched]
+    vel[bodies.world_index] = 0.0
     bodies.view("linvel")[:] = vel[:, :3]
     bodies.view("angvel")[:] = vel[:, 3:]

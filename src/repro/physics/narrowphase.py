@@ -117,7 +117,8 @@ def generate_contacts(
     pos = bodies.view("pos")
     rot = bodies.view("rot")
 
-    # Bucket pairs by type so the common cases run vectorized.
+    # Bucket pairs by type so the common cases run vectorized.  The
+    # stacked box passes probe the memo tables pair by pair.
     buckets: dict = {}
     for i, j in pairs:
         ga, gb = geoms[i], geoms[j]
@@ -132,16 +133,14 @@ def generate_contacts(
         elif key == ("plane", "sphere"):
             _sphere_plane(ctx, acc, geoms, bucket, pos, world)
         elif key == ("box", "plane"):
-            _box_plane(ctx, acc, geoms, bucket, pos, rot, world)
+            with ctx.memo_by_item():
+                _box_plane(ctx, acc, geoms, bucket, pos, rot, world)
         elif key == ("box", "sphere"):
             for i, j in bucket:
                 _sphere_box(ctx, acc, geoms[j], geoms[i], pos, rot)
         elif key == ("box", "box"):
-            if ctx.fast_kernel() is None:
-                for i, j in bucket:
-                    _box_box(ctx, acc, geoms[i], geoms[j], pos, rot)
-            else:
-                _box_box_bucket(ctx, acc, geoms, bucket, pos, rot)
+            with ctx.memo_by_item():
+                _box_box(ctx, acc, geoms, bucket, pos, rot)
         elif key == ("capsule", "plane"):
             for i, j in bucket:
                 _capsule_plane(ctx, acc, geoms[i], geoms[j], pos, rot,
@@ -218,40 +217,16 @@ _CORNER_SIGNS = np.array(
 )
 
 
-def _box_corners(ctx, geom, pos, rot) -> np.ndarray:
-    """World positions of the 8 box corners, through the context."""
-    local = ctx.mul(_CORNER_SIGNS, geom.params[None, :])  # (8, 3)
-    rotated = math3d.matvec(ctx, rot[geom.body][None, :, :], local)
-    return ctx.add(pos[geom.body][None, :], rotated)
-
-
 def _box_plane(ctx, acc, geoms, bucket, pos, rot, world) -> None:
-    if ctx.fast_kernel() is None:
-        for i, j in bucket:  # canonical order gives (box, plane)
-            box, plane = geoms[i], geoms[j]
-            corners = _box_corners(ctx, box, pos, rot)
-            n = plane.params.astype(np.float32)
-            height = ctx.sub(math3d.dot(ctx, n[None, :], corners),
-                             np.float32(plane.offset))
-            depth = -height
-            hit = depth > 0
-            if not hit.any():
-                continue
-            order = np.argsort(-depth)
-            picked = [k for k in order if hit[k]][:_MAX_CONTACTS_PER_PAIR]
-            for k in picked:
-                acc.emit(world, box.body, corners[k], n, depth[k], plane,
-                         box)
-        return
-
-    # Census-free: all boxes' corners and heights in one stacked pass
-    # (identical elementwise ops, so identical contact bits).
+    """Corners below the plane, deepest four per pair, in one stacked
+    pass over every (box, plane) pair (canonical order)."""
     body = np.array([geoms[i].body for i, _ in bucket], dtype=np.int64)
     half = np.stack([geoms[i].params for i, _ in bucket]).astype(np.float32)
     normals = np.stack([geoms[j].params for _, j in bucket]).astype(
         np.float32)
     offsets = np.array([geoms[j].offset for _, j in bucket],
                        dtype=np.float32)
+    ctx.memo_items = np.arange(len(bucket))
     local = ctx.mul(_CORNER_SIGNS[None, :, :], half[:, None, :])  # (P,8,3)
     rotated = math3d.matvec(ctx, rot[body][:, None, :, :], local)
     corners = ctx.add(pos[body][:, None, :], rotated)
@@ -313,83 +288,17 @@ def _sphere_box(ctx, acc, sphere: Geom, box: Geom, pos, rot) -> None:
 # ----------------------------------------------------------------------
 # Box / box — separating axis test + reference face clipping
 # ----------------------------------------------------------------------
-def _box_box(ctx, acc, box_a: Geom, box_b: Geom, pos, rot) -> None:
-    pa, pb = pos[box_a.body], pos[box_b.body]
-    ra, rb = rot[box_a.body], rot[box_b.body]
-    ha = np.asarray(box_a.params, dtype=np.float32)
-    hb = np.asarray(box_b.params, dtype=np.float32)
-    delta = ctx.sub(pb, pa)
+def _box_box(ctx, acc, geoms, bucket, pos, rot) -> None:
+    """Box-box pairs: separating-axis test + reference-face clipping.
 
-    # Candidate axes: the 6 face normals plus up to 9 edge cross products,
-    # all tested in one batched pass.
-    face_axes = np.concatenate([ra.T, rb.T], axis=0).astype(np.float32)
-    crosses = math3d.cross(ctx, np.repeat(ra.T, 3, axis=0),
-                           np.tile(rb.T, (3, 1)))
-    lengths = np.linalg.norm(crosses.astype(np.float64), axis=1)
-    good = lengths > 1e-6
-    edge_axes = (crosses[good] / lengths[good][:, None]).astype(np.float32)
-    axes = np.concatenate([face_axes, edge_axes], axis=0)
-
-    # Projected extents of each box onto every axis at once.
-    on_a = np.abs(math3d.dot(ctx, axes[:, None, :], ra.T[None, :, :]))
-    on_b = np.abs(math3d.dot(ctx, axes[:, None, :], rb.T[None, :, :]))
-    proj_a = math3d.dot(ctx, on_a, ha[None, :])
-    proj_b = math3d.dot(ctx, on_b, hb[None, :])
-    separation = math3d.dot(ctx, axes, delta[None, :])
-    overlap = ctx.sub(ctx.add(proj_a, proj_b), np.abs(separation))
-    if np.any(overlap <= 0):
-        return  # separating axis found
-
-    # Prefer a face axis unless an edge axis is clearly (>5%) shallower,
-    # the usual SAT fudge for contact stability.
-    best_face = int(np.argmin(overlap[:6]))
-    best_index = best_face
-    if len(overlap) > 6:
-        best_edge = 6 + int(np.argmin(overlap[6:]))
-        if overlap[best_edge] < 0.95 * overlap[best_face]:
-            best_index = best_edge
-    best_depth = float(overlap[best_index])
-    best_axis = axes[best_index]
-    if separation[best_index] < 0:
-        best_axis = -best_axis
-    normal = best_axis  # points from A towards B
-
-    if best_index >= 6:
-        _box_box_edge_contact(ctx, acc, box_a, box_b, pos, rot, normal,
-                              best_depth)
-        return
-
-    # Face contact: the box owning the reference face.
-    if best_index < 3:
-        ref_geom, inc_geom = box_a, box_b
-        ref_normal = normal
-        flip = False
-    else:
-        ref_geom, inc_geom = box_b, box_a
-        ref_normal = -normal
-        flip = True
-    points, depths = _clip_incident_face(ctx, ref_geom, inc_geom, pos, rot,
-                                         ref_normal)
-    if not points:
-        return
-    order = np.argsort(-np.asarray(depths))[:_MAX_CONTACTS_PER_PAIR]
-    for k in order:
-        acc.emit(box_a.body, box_b.body, points[k], normal, depths[k],
-                 box_a, box_b)
-
-
-def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
-    """All box-box pairs of a step in one batched SAT pass.
-
-    The 15 candidate axes (6 faces + 9 edge crosses) of every pair are
-    tested together; degenerate edge crosses keep their lane (masked out
-    of the decisions) so the stacked arrays stay rectangular.  Each lane
-    runs the exact elementwise ops the per-pair path ran, so surviving
-    pairs see identical axes/overlaps.  Face clipping and edge contacts
-    then run stacked over the surviving pairs
-    (:func:`_clip_incident_faces`, :func:`_edge_midpoints`), and the
-    contacts are emitted pair by pair in bucket order, as the per-pair
-    path (the op-for-op reference) emits them.
+    Every pair of a step runs in one batched SAT pass over its candidate
+    axes: the 6 face normals and those of the 9 edge crosses that are
+    not degenerate, so every projection the pass computes is one a
+    per-pair test computes.  Prefer a face axis unless an edge axis is
+    clearly (>5%) shallower, the usual SAT fudge for contact stability.
+    Face clipping and edge contacts then run stacked over the surviving
+    pairs (:func:`_clip_incident_faces`, :func:`_edge_midpoints`), and
+    the contacts are emitted pair by pair in bucket order.
     """
     n_pairs = len(bucket)
     body_a = np.array([geoms[i].body for i, _ in bucket], dtype=np.int64)
@@ -401,34 +310,44 @@ def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
     ra_t = np.ascontiguousarray(ra.transpose(0, 2, 1))
     rb_t = np.ascontiguousarray(rb.transpose(0, 2, 1))
 
+    ctx.memo_items = np.arange(n_pairs)
     delta = ctx.sub(pb, pa)  # (P, 3)
     crosses = math3d.cross(ctx, np.repeat(ra_t, 3, axis=1),
                            np.tile(rb_t, (1, 3, 1)))  # (P, 9, 3)
     lengths = np.linalg.norm(crosses.astype(np.float64), axis=2)
     good = lengths > 1e-6
     safe = np.where(good, lengths, 1.0)
-    # float64 divide then downcast, matching the per-pair normalization.
+    # float64 divide then downcast: the normalization is frame choice,
+    # outside the reduced FPU.
     edge_axes = (crosses.astype(np.float64) / safe[:, :, None]).astype(
         np.float32)
     axes = np.concatenate([ra_t, rb_t, edge_axes], axis=1)  # (P, 15, 3)
 
-    on_a = np.abs(math3d.dot(ctx, axes[:, :, None, :], ra_t[:, None, :, :]))
-    on_b = np.abs(math3d.dot(ctx, axes[:, :, None, :], rb_t[:, None, :, :]))
-    proj_a = math3d.dot(ctx, on_a, ha[:, None, :])
-    proj_b = math3d.dot(ctx, on_b, hb[:, None, :])
-    separation = math3d.dot(ctx, axes, delta[:, None, :])
-    overlap = ctx.sub(ctx.add(proj_a, proj_b), np.abs(separation))
-
+    # The valid axes, flattened pair by pair, with their pair's boxes.
     valid = np.concatenate(
         [np.ones((n_pairs, 6), dtype=bool), good], axis=1)
-    masked = np.where(valid, overlap.astype(np.float64), np.inf)
-    separated = np.any(np.where(valid, overlap <= 0, False), axis=1)
-    best_face = np.argmin(masked[:, :6], axis=1)
+    owner = np.nonzero(valid)[0]
+    flat = axes[valid]  # (V, 3)
+    ctx.memo_items = owner
+    on_a = np.abs(math3d.dot(ctx, flat[:, None, :], ra_t[owner]))
+    on_b = np.abs(math3d.dot(ctx, flat[:, None, :], rb_t[owner]))
+    proj_a = math3d.dot(ctx, on_a, ha[owner])
+    proj_b = math3d.dot(ctx, on_b, hb[owner])
+    flat_separation = math3d.dot(ctx, flat, delta[owner])
+    separation = np.zeros((n_pairs, 15), dtype=np.float32)
+    separation[valid] = flat_separation
+    overlap = np.full((n_pairs, 15), np.inf, dtype=np.float32)
+    overlap[valid] = ctx.sub(ctx.add(proj_a, proj_b),
+                             np.abs(flat_separation))
+
+    separated = np.any(overlap <= 0, axis=1)
+    best_face = np.argmin(overlap[:, :6], axis=1)
     has_edge = good.any(axis=1)
-    best_edge = 6 + np.argmin(masked[:, 6:], axis=1)
+    best_edge = 6 + np.argmin(overlap[:, 6:], axis=1)
 
     # Per surviving pair, in bucket order: (box_a, box_b, normal,
     # edge depth or None for a face contact, index into edges/faces).
+    # Edges and faces end with their pair's index.
     emits, edges, faces = [], [], []
     for k in range(n_pairs):
         if separated[k]:
@@ -448,13 +367,13 @@ def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
         if best_index >= 6:
             emits.append((box_a, box_b, normal,
                           float(overlap[k, best_index]), len(edges)))
-            edges.append((box_a, box_b, normal))
+            edges.append((box_a, box_b, normal, k))
             continue
         emits.append((box_a, box_b, normal, None, len(faces)))
         if best_index < 3:
-            faces.append((box_a, box_b, normal))
+            faces.append((box_a, box_b, normal, k))
         else:
-            faces.append((box_b, box_a, -normal))
+            faces.append((box_b, box_a, -normal, k))
 
     midpoints = _edge_midpoints(ctx, edges, pos, rot) if edges else None
     clipped = _clip_incident_faces(ctx, faces, pos, rot) if faces else None
@@ -470,8 +389,8 @@ def _box_box_bucket(ctx, acc, geoms, bucket, pos, rot) -> None:
                      depths[m], box_a, box_b)
 
 
-#: Incident-face corner signs along the two tangents, in the order
-#: :func:`_clip_incident_face` lists the corners.
+#: Incident-face corner signs along the two tangents: the face's
+#: corners in winding order.
 _FACE_S0 = np.array([-1, 1, 1, -1], dtype=np.float32)
 _FACE_S1 = np.array([-1, -1, 1, 1], dtype=np.float32)
 
@@ -488,94 +407,21 @@ def _face_basis(rot: np.ndarray, half, normal: np.ndarray):
     return axis, sign, tangents
 
 
-def _clip_incident_face(ctx, ref_geom, inc_geom, pos, rot, ref_normal):
-    """Clip the incident face of ``inc_geom`` against ``ref_geom``'s face.
-
-    ``ref_normal`` points out of the reference box towards the incident
-    box.  Returns world-space contact points on the incident face that lie
-    below the reference face, with their penetration depths.
-    """
-    ref_rot, ref_pos = rot[ref_geom.body], pos[ref_geom.body]
-    inc_rot, inc_pos = rot[inc_geom.body], pos[inc_geom.body]
-    ref_half, inc_half = ref_geom.params, inc_geom.params
-
-    ref_axis, ref_sign, ref_tangents = _face_basis(ref_rot, ref_half,
-                                                   np.asarray(ref_normal))
-    inc_axis, inc_sign, inc_tangents = _face_basis(inc_rot, inc_half,
-                                                   -np.asarray(ref_normal))
-
-    # Incident face polygon (4 corners, world space) through the context.
-    t0, t1 = inc_tangents
-    corners_local = []
-    for s0, s1 in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
-        corner = np.zeros(3, dtype=np.float32)
-        corner[inc_axis] = inc_sign * inc_half[inc_axis]
-        corner[t0] = s0 * inc_half[t0]
-        corner[t1] = s1 * inc_half[t1]
-        corners_local.append(corner)
-    corners_local = np.stack(corners_local)
-    polygon = ctx.add(inc_pos[None, :],
-                      math3d.matvec(ctx, inc_rot[None, :, :], corners_local))
-    polygon = [polygon[k] for k in range(4)]
-
-    # Clip against the four side planes of the reference face.
-    for tangent in ref_tangents:
-        axis_dir = ref_rot[:, tangent].astype(np.float32)
-        extent = float(ref_half[tangent])
-        for plane_sign in (1.0, -1.0):
-            plane_n = (plane_sign * axis_dir).astype(np.float32)
-            plane_d = float(
-                plane_sign * float(np.dot(ref_pos, axis_dir)) + extent)
-            polygon = _clip_polygon(ctx, polygon, plane_n, plane_d)
-            if not polygon:
-                return [], []
-
-    # Keep points below the reference face plane.
-    face_n = (ref_sign * ref_rot[:, ref_axis]).astype(np.float32)
-    face_d = float(np.dot(ref_pos, face_n)) + float(ref_half[ref_axis])
-    stacked = np.stack(polygon).astype(np.float32)
-    dist = math3d.dot(ctx, face_n[None, :], stacked) - np.float32(face_d)
-    points, depths = [], []
-    for k in range(len(polygon)):
-        if dist[k] < 0:
-            points.append(stacked[k])
-            depths.append(-float(dist[k]))
-    return points, depths
-
-
-def _clip_polygon(ctx, polygon, plane_n, plane_d):
-    """Sutherland–Hodgman clip: keep the half-space n . x <= d."""
-    if not polygon:
-        return []
-    output = []
-    count = len(polygon)
-    stacked = np.stack(polygon).astype(np.float32)
-    dists = (
-        math3d.dot(ctx, plane_n[None, :], stacked) - np.float32(plane_d)
-    ).tolist()
-    for k in range(count):
-        current, nxt = polygon[k], polygon[(k + 1) % count]
-        d0, d1 = dists[k], dists[(k + 1) % count]
-        if d0 <= 0:
-            output.append(current)
-        if (d0 <= 0) != (d1 <= 0) and abs(d0 - d1) > 1e-12:
-            t = np.float32(d0 / (d0 - d1))
-            edge = ctx.sub(nxt, current)
-            output.append(ctx.add(current, ctx.mul(edge, t)))
-    return output
-
-
 def _clip_incident_faces(ctx, faces, pos, rot):
-    """:func:`_clip_incident_face` for many ``(ref, inc, ref_normal)``.
+    """Clip incident faces against reference faces, stacked over pairs.
 
-    The corner transform, the four Sutherland–Hodgman side planes and
-    the final face distance run as stacked context ops over every
-    pair's polygon, and of each clip only the crossing edges are
-    computed.  The face choice (:func:`_face_basis`) and the ``np.dot``
-    plane offsets stay per pair, and the crossing parameter ``t`` is
-    the same float64 quotient, so every point carries the per-pair
-    bits.  Returns per pair the points below the reference face and
-    their depths (float64), in the per-pair function's order.
+    Each ``(ref, inc, ref_normal, pair)`` names the reference box, the
+    incident box, the reference face normal pointing towards the
+    incident box and the pair's memo item.  The incident face's 4 corners, clipped by the
+    reference face's four side planes (Sutherland–Hodgman, keeping
+    ``n . x <= d``), give the contact points that lie below the
+    reference face.  The corner transform, the four clips and the final
+    face distance run as stacked context ops over every pair's polygon,
+    and of each clip only the crossing edges are computed; the face
+    choice (:func:`_face_basis`) and the ``np.dot`` plane offsets stay
+    per pair, and the crossing parameter ``t`` is a float64 quotient.
+    Returns per pair the points below the reference face and their
+    depths (float64), in polygon order.
     """
     n = len(faces)
     inc_body = np.empty(n, dtype=np.int64)
@@ -584,7 +430,8 @@ def _clip_incident_faces(ctx, faces, pos, rot):
     plane_d = np.empty((4, n))
     face_n = np.empty((n, 3), dtype=np.float32)
     face_d = np.empty(n)
-    for p, (ref_geom, inc_geom, ref_normal) in enumerate(faces):
+    pair = np.array([face[3] for face in faces], dtype=np.int64)
+    for p, (ref_geom, inc_geom, ref_normal, _) in enumerate(faces):
         ref_rot, ref_pos = rot[ref_geom.body], pos[ref_geom.body]
         ref_half, inc_half = ref_geom.params, inc_geom.params
         inc_body[p] = inc_geom.body
@@ -609,11 +456,13 @@ def _clip_incident_faces(ctx, faces, pos, rot):
         face_d[p] = float(np.dot(ref_pos, normal)) + float(
             ref_half[ref_axis])
 
+    ctx.memo_items = pair
     verts = ctx.add(pos[inc_body][:, None, :],
                     math3d.matvec(ctx, rot[inc_body][:, None, :, :],
                                   corners)).reshape(-1, 3)
     owner = np.repeat(np.arange(n), 4)
     for plane in range(4):
+        ctx.memo_items = pair[owner]
         dist = (math3d.dot(ctx, plane_n[plane][owner], verts)
                 - plane_d[plane].astype(np.float32)[owner])
         length = np.bincount(owner, minlength=n)
@@ -625,11 +474,12 @@ def _clip_incident_faces(ctx, faces, pos, rot):
         d1 = d0[nxt]
         inside = d0 <= 0
         # Non-finite distances (possible at very low precisions) pass
-        # silently, as through the per-pair clip's Python floats.
+        # silently: they neither count as inside nor cross.
         with np.errstate(invalid="ignore", over="ignore"):
             crossing = (inside != (d1 <= 0)) & (np.abs(d0 - d1) > 1e-12)
             cur = np.nonzero(crossing)[0]
             t = (d0[cur] / (d0[cur] - d1[cur])).astype(np.float32)
+        ctx.memo_items = pair[owner[cur]]
         edge = ctx.sub(verts[nxt[cur]], verts[cur])
         cut = ctx.add(verts[cur], ctx.mul(edge, t[:, None]))
         # Each vertex emits itself if inside, then its edge's crossing.
@@ -641,6 +491,7 @@ def _clip_incident_faces(ctx, faces, pos, rot):
         verts = clipped
         owner = np.repeat(owner, count)
 
+    ctx.memo_items = pair[owner]
     dist = (math3d.dot(ctx, face_n[owner], verts)
             - face_d.astype(np.float32)[owner])
     below = dist < 0
@@ -652,21 +503,26 @@ def _clip_incident_faces(ctx, faces, pos, rot):
 
 
 def _edge_midpoints(ctx, edges, pos, rot) -> np.ndarray:
-    """:func:`_box_box_edge_contact`'s points for many ``(a, b, normal)``.
+    """Edge-edge contact points for many ``(a, b, normal, pair)``:
+    midpoints of the support corners along ``+normal`` on ``a`` and
+    ``-normal`` on ``b`` (``pair`` is the memo item).
 
     The support corners' signs stay per pair (a BLAS ``rot.T @ n``);
     the transforms of both boxes' corners and the midpoint run as
     stacked context ops.
     """
-    body = np.array([a.body for a, _, _ in edges]
-                    + [b.body for _, b, _ in edges], dtype=np.int64)
+    body = np.array([a.body for a, _, _, _ in edges]
+                    + [b.body for _, b, _, _ in edges], dtype=np.int64)
     local = np.stack(
         [_support_local(rot[a.body], a.params, np.asarray(normal))
-         for a, _, normal in edges]
+         for a, _, normal, _ in edges]
         + [_support_local(rot[b.body], b.params, -np.asarray(normal))
-           for _, b, normal in edges])
+           for _, b, normal, _ in edges])
+    pair = np.array([edge[3] for edge in edges], dtype=np.int64)
+    ctx.memo_items = np.concatenate([pair, pair])
     support = ctx.add(pos[body], math3d.matvec(ctx, rot[body], local))
     count = len(edges)
+    ctx.memo_items = pair
     return ctx.mul(ctx.add(support[:count], support[count:]),
                    np.float32(0.5))
 
@@ -676,21 +532,6 @@ def _support_local(rotm, half, direction) -> np.ndarray:
     signs = np.sign(rotm.T @ direction)
     signs[signs == 0] = 1.0
     return (signs * np.asarray(half)).astype(np.float32)
-
-
-def _box_box_edge_contact(ctx, acc, box_a, box_b, pos, rot, normal, depth):
-    """Edge-edge contact: support points along +/- normal on each box."""
-    pa, pb = pos[box_a.body], pos[box_b.body]
-    ra, rb = rot[box_a.body], rot[box_b.body]
-
-    def _support(rotm, half, direction):
-        local = _support_local(rotm, half, direction)
-        return math3d.matvec(ctx, rotm[None, :, :], local[None, :])[0]
-
-    support_a = ctx.add(pa, _support(ra, box_a.params, np.asarray(normal)))
-    support_b = ctx.add(pb, _support(rb, box_b.params, -np.asarray(normal)))
-    midpoint = ctx.mul(ctx.add(support_a, support_b), np.float32(0.5))
-    acc.emit(box_a.body, box_b.body, midpoint, normal, depth, box_a, box_b)
 
 
 # ----------------------------------------------------------------------

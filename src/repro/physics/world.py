@@ -262,9 +262,10 @@ class World:
         if obs is not None:
             t0 = time.perf_counter()
         with ctx.in_phase("integrate"):
-            integrator.integrate(ctx, self.bodies, self.dt)
             for cloth in self.cloths:
                 cloth.integrate(ctx, self.dt)
+            # Last: it ends the step's FP work (see its docstring).
+            integrator.integrate(ctx, self.bodies, self.dt)
         if obs is not None:
             obs.phase_done("integrate", time.perf_counter() - t0)
 

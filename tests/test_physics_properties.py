@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fp import FPContext
-from repro.physics import SolverParams, World
+from repro.physics import SleepParams, SolverParams, World
 
 coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    width=32)
@@ -53,7 +53,10 @@ class TestSolverInvariants:
     @given(st.tuples(speeds, speeds, speeds), masses)
     @settings(max_examples=25, deadline=None)
     def test_zero_gravity_free_body_momentum(self, velocity, mass):
-        world = World(ctx=FPContext(census=False), gravity=(0, 0, 0))
+        # Object disabling zeroes bodies slower than its threshold, which
+        # is not the property under test.
+        world = World(ctx=FPContext(census=False), gravity=(0, 0, 0),
+                      sleep=SleepParams(enabled=False))
         world.add_sphere([0, 0, 0], 0.3, mass, linvel=list(velocity))
         momentum0 = mass * np.array(velocity, dtype=np.float64)
         for _ in range(30):
