@@ -86,6 +86,8 @@ class FaultInjector:
         #: current simulation step, stamped by the harness for event logs
         self.step = 0
         self.events: List[FaultEvent] = []
+        #: result elements offered while injecting (the rate's base)
+        self.offered = 0
 
     # ------------------------------------------------------------------
     @property
@@ -97,6 +99,7 @@ class FaultInjector:
         self.rng = np.random.default_rng(self.seed)
         self.events.clear()
         self.step = 0
+        self.offered = 0
 
     # ------------------------------------------------------------------
     def corrupt(self, phase: str, op: str, result: np.ndarray,
@@ -109,6 +112,7 @@ class FaultInjector:
         n = out.size
         if n == 0:
             return result
+        self.offered += n
         hits = int(self.rng.binomial(n, min(rate, 1.0)))
         if hits == 0:
             return out

@@ -333,7 +333,8 @@ def _run_chaos_bench(config: ServeBenchConfig) -> dict:
         "errors": errors,
         "stats": {k: stats[k] for k in
                   ("recovered_total", "respawned_total", "recoveries",
-                   "journal_writes", "evicted_total", "incidents")},
+                   "journal_writes", "journal_append_errors",
+                   "evicted_total", "incidents")},
     }
     chaos["ok"] = (unrecovered == 0 and not errors
                    and len(latencies) == total_expected

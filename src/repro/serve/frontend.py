@@ -271,14 +271,16 @@ class FrameServer:
                 "internal", f"{type(exc).__name__}: {exc}", frame)
             ok, error = False, "internal"
         wall = time.perf_counter() - start
-        self.registry.counter("serve.requests",
-                              op=op or "invalid").inc()
         self.registry.histogram("serve.request.seconds").observe(wall)
+        # One count per request: an observer counts what it reports.
         if self.observer is not None:
             self.observer.serve_request(op or "invalid",
                                         response.get("session",
                                                      session_id),
                                         ok, wall, error)
+        else:
+            self.registry.counter("serve.requests",
+                                  op=op or "invalid").inc()
         return response
 
     # ------------------------------------------------------------------

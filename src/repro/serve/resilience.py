@@ -262,10 +262,14 @@ class JournalStore:
     scheduler's tick loop never blocks on the filesystem, and a single
     thread keeps every journal's records ordered.  :meth:`flush` is the
     barrier — it returns once everything scheduled so far is on disk.
+    A write that fails with ``OSError`` leaves its session running,
+    counts in :attr:`append_errors` and, with ``on_error``, is reported
+    on the writer thread as ``on_error(session_id, exc, first)``, where
+    ``first`` marks the session's first failure.
     """
 
     def __init__(self, directory, max_records: int = 64,
-                 fsync: bool = False) -> None:
+                 fsync: bool = False, on_error=None) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_records = max_records
@@ -274,6 +278,8 @@ class JournalStore:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-journal")
         self.append_errors = 0
+        self.on_error = on_error
+        self._failed_sessions = set()
 
     # ------------------------------------------------------------------
     def path_for(self, session_id: str) -> Path:
@@ -288,21 +294,24 @@ class JournalStore:
             self._journals[session_id] = journal
         return journal
 
-    def _submit(self, fn, *args) -> None:
+    def _submit(self, session_id: str, fn, *args) -> None:
         def _guarded():
             try:
                 fn(*args)
-            except OSError:
-                # Journal durability is best-effort beyond this counter;
-                # the session itself keeps running.
+            except OSError as exc:
                 self.append_errors += 1
+                first = session_id not in self._failed_sessions
+                self._failed_sessions.add(session_id)
+                if self.on_error is not None:
+                    self.on_error(session_id, exc, first)
 
         self._executor.submit(_guarded)
 
     # ------------------------------------------------------------------
     def open_session(self, session_id: str, config: dict) -> None:
         """Start a journal with the session's config record."""
-        self._submit(self._journal(session_id).append_config, config)
+        self._submit(session_id, self._journal(session_id).append_config,
+                     config)
 
     def append_snapshot(self, session_id: str,
                         checkpoint: WorldCheckpoint, step: int,
@@ -314,17 +323,16 @@ class JournalStore:
             blob = serialize_checkpoint(checkpoint)
             self._journal(session_id).append_snapshot(blob, step, state)
 
-        self._submit(_append)
+        self._submit(session_id, _append)
 
     def discard(self, session_id: str) -> None:
         """Clean close: delete the journal (nothing left to recover)."""
         journal = self._journals.pop(session_id, None)
         if journal is not None:
-            self._submit(journal.discard)
+            self._submit(session_id, journal.discard)
         else:
             path = self.path_for(session_id)
-            self._submit(
-                lambda: path.unlink(missing_ok=True))
+            self._submit(session_id, lambda: path.unlink(missing_ok=True))
 
     def compact(self, session_id: str, config: dict,
                 checkpoint: WorldCheckpoint, step: int,
@@ -339,7 +347,7 @@ class JournalStore:
             journal.append_snapshot(serialize_checkpoint(checkpoint),
                                     step, state)
 
-        self._submit(_rewrite)
+        self._submit(session_id, _rewrite)
 
     # ------------------------------------------------------------------
     def flush(self, timeout: float = 30.0) -> None:

@@ -104,8 +104,11 @@ class SimulationService(FrameServer):
                  registry: Optional[MetricsRegistry] = None,
                  observer=None) -> None:
         super().__init__(config or ServiceConfig(), registry, observer)
-        self.journal = (JournalStore(self.config.journal_dir)
+        self.journal = (JournalStore(self.config.journal_dir,
+                                     on_error=self._journal_failed)
                         if self.config.journal_dir else None)
+        #: the event loop serving requests, set by :meth:`_open`
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.manager = SessionManager(self.config.max_sessions,
                                       registry=self.registry,
                                       observer=observer,
@@ -140,6 +143,7 @@ class SimulationService(FrameServer):
     # ------------------------------------------------------------------
     async def _open(self) -> None:
         """Recover journaled sessions and start ticking."""
+        self._loop = asyncio.get_running_loop()
         if self.journal is not None:
             self.recovered = self.manager.recover_from(self.journal)
             for entry in self.recovered:
@@ -149,6 +153,25 @@ class SimulationService(FrameServer):
                         f"journal recovery failed for "
                         f"{entry['session']}: {entry.get('error')}")
         self.scheduler.start()
+
+    def _journal_failed(self, session_id: str, exc: OSError,
+                        first: bool) -> None:
+        """A journal write failed (called on the journal's writer
+        thread): count it, and record an incident on a session's first
+        failure, both on the event loop that owns the registry and the
+        incident log."""
+        def note():
+            self.registry.counter("serve.journal.append_errors").inc()
+            if first:
+                self.incidents.detection(
+                    0, "serve",
+                    f"journal write for {session_id} failed "
+                    f"({type(exc).__name__}: {exc}); the session is no "
+                    f"longer durable")
+
+        # A loop already closed has nobody left to tell.
+        with contextlib.suppress(RuntimeError):
+            self._loop.call_soon_threadsafe(note)
 
     def _banner(self) -> List[str]:
         lines = [f"listening on {self._where()} "
@@ -399,6 +422,8 @@ class SimulationService(FrameServer):
             "recovered_total": self.manager.recovered_total,
             "recoveries": self.scheduler.recoveries_total,
             "journal_writes": self.scheduler.journal_writes,
+            "journal_append_errors": (self.journal.append_errors
+                                      if self.journal is not None else 0),
             "incidents": len(self.incidents.records),
             "draining": self._draining,
             "requests_total": self.requests_total,

@@ -1,5 +1,7 @@
 """Failure-injection tests: the system's behaviour when things go wrong."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.robustness import (
     restore_world,
 )
 from repro.tuning import ControlledSimulation, PrecisionController
+from repro.workloads import build
 
 
 class TestNumericalAbuse:
@@ -209,6 +212,36 @@ class TestGuardedRecovery:
         # fewer steps carry faults than were simulated
         faulted_steps = {e.step for e in injector.events}
         assert len(faulted_steps) < 20
+
+
+class TestInjectionOnFusedPasses:
+    """Faults reach the results of the whole-array kernels' ops."""
+
+    RATE = 2e-4
+    PRECISION = {"narrow": 12, "lcp": 10}
+
+    def _campaign(self):
+        ctx = FPContext(dict(self.PRECISION), census=False)
+        world = build("ragdoll", ctx=ctx, scale=0.5, seed=5)
+        injector = FaultInjector(rate=self.RATE, seed=5)
+        sim = GuardedSimulation(world, injector=injector)
+        sim.run(30)
+        return sim, injector
+
+    def test_guarded_ragdoll_faults_follow_the_rate_and_window(self):
+        sim, injector = self._campaign()
+        assert injector.injected > 0
+        # Every offered element is an independent Bernoulli(rate) draw.
+        sigma = math.sqrt(self.RATE * (1 - self.RATE) / injector.offered)
+        fraction = injector.injected / injector.offered
+        assert abs(fraction - self.RATE) <= 4 * sigma
+        for event in injector.events:
+            if event.kind == "bitflip":
+                kept = self.PRECISION[event.phase]
+                assert FULL_PRECISION - kept <= event.bit < FULL_PRECISION
+        again, again_injector = self._campaign()
+        assert again.log.lines() == sim.log.lines()
+        assert again_injector.events == injector.events
 
 
 class TestDegenerateSolverInput:

@@ -16,7 +16,6 @@ from repro.fp.context import FPContext
 from repro.fp.rounding import (
     FULL_PRECISION,
     RoundingMode,
-    fused_axpy,
     fused_binop,
     reduce_array,
     reduce_array_fast,
@@ -107,18 +106,6 @@ class TestFusedKernels:
         sa, sb = a.copy(), b.copy()
         fused_binop(np.add, a, b, 5, RoundingMode.TRUNCATION)
         assert np.array_equal(a, sa) and np.array_equal(b, sb)
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_fused_axpy_matches_two_binops(self, mode):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal(64).astype(np.float32)
-        x = rng.standard_normal(64).astype(np.float32)
-        y = rng.standard_normal(64).astype(np.float32)
-        for precision in (2, 9, 16):
-            t = fused_binop(np.multiply, a, x, precision, mode)
-            expect = fused_binop(np.add, y, t, precision, mode)
-            got = fused_axpy(a, x, y, precision, mode)
-            assert _bits(expect).tolist() == _bits(got).tolist()
 
     def test_context_axpy_census_free(self):
         ctx = FPContext({"lcp": 9}, mode="jam", census=False)

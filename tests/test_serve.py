@@ -491,6 +491,16 @@ class TestConcurrentSessionsTraced:
             handle.stop()
 
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_request_counted_once(self, traced):
+        observer = Tracer(NullSink()) if traced else None
+        service = SimulationService(ServiceConfig(), observer=observer)
+        reply = asyncio.run(service.handle_request({"op": "ping"}))
+        assert reply["ok"] is True
+        assert service.registry.counter("serve.requests",
+                                        op="ping").value == 1
+
+
 class TestServeBench:
     def test_bench_smoke_payload(self, tmp_path):
         payload = run_serve_bench(ServeBenchConfig(

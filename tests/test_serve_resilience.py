@@ -416,6 +416,29 @@ class TestServiceResilience:
         finally:
             handle.stop()
 
+    def test_failing_journal_disk_is_visible(self, tmp_path, monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(SessionJournal, "append_snapshot", disk_full)
+        handle = _server(journal_dir=str(tmp_path / "journals"),
+                         journal_every=1)
+        try:
+            with handle.connect() as client:
+                session = client.create("continuous", scale=0.4)
+                assert client.step(session, 3)["step"] == 3
+                handle.frontend.journal.flush()
+                stats = client.stats()
+            errors = stats["journal_append_errors"]
+            assert errors >= 1
+            metric = stats["metrics"]["serve.journal.append_errors"]
+            assert metric["value"] == errors
+            [incident] = handle.frontend.incidents.records
+            assert session in incident.detail
+            assert "No space left on device" in incident.detail
+        finally:
+            handle.stop()
+
     def test_internal_error_logs_an_incident(self):
         handle = _server()
         try:
