@@ -85,6 +85,23 @@ class TestMemoTable:
                        for x, y in zip(a, b))
         assert hits_batch == hits_seq
 
+    def test_segment_hits_match_sequential(self):
+        # A segmented walk longer than one conversion chunk, with an
+        # empty segment, reports each segment's own hits.
+        rng = np.random.default_rng(1)
+        a = rng.integers(0, 64, 9000).astype(np.uint32) << np.uint32(19)
+        b = rng.integers(0, 64, 9000).astype(np.uint32) << np.uint32(19)
+        ends = [10, 10, 4500, 8999, 9000]
+        segments = MemoTable().probe_batch(a, b, ends=ends)
+        seq_table = MemoTable()
+        hits = [seq_table.lookup(int(x), int(y)) for x, y in zip(a, b)]
+        starts = [0] + ends[:-1]
+        assert segments == [sum(hits[lo:hi])
+                            for lo, hi in zip(starts, ends)]
+        assert sum(segments) > 0
+        empty = np.empty(0, dtype=np.uint32)
+        assert MemoTable().probe_batch(empty, empty) == 0
+
     def test_reset(self):
         table = MemoTable()
         table.lookup(1, 2)
