@@ -63,9 +63,9 @@ def tuned_precisions():
 
 
 def _cached_table1():
-    from repro.experiments.runcache import cache_dir
+    from repro.experiments.runcache import cache_path
     steps = STEPS or 90
-    path = cache_dir() / f"table1_s{steps}_x{SCALE}.json"
+    path = cache_path("table1", {"steps": steps, "scale": SCALE})
     if not path.exists():
         raise FileNotFoundError(path)
     return table1.compute_table1(steps=steps, scale=SCALE)

@@ -5,12 +5,15 @@ Several tables/figures consume the same expensive artifacts:
 * **census runs** — a scenario simulated with the trivialization census
   (and optionally memoization tables) enabled, yielding per-(phase, op)
   totals and hit counts;
-* **tuned precisions** — the Table 1 minimum-precision search results.
+* **tuned precisions** — the Table 1 minimum-precision search results;
+* **design evaluations** — the design-space optimizer's points.
 
-Both are memoized in memory and persisted as JSON under the cache
-directory (``REPRO_CACHE_DIR`` env var, default ``.repro_cache`` in the
-working directory) so re-running a benchmark does not repeat hours of
-simulation.
+All of them go through one front end, :func:`cached_json`: an
+in-memory layer plus one JSON file per entry under the cache directory
+(``REPRO_CACHE_DIR`` env var, default ``.repro_cache`` in the working
+directory), so re-running a benchmark does not repeat hours of
+simulation.  Every key includes :data:`ENGINE_FINGERPRINT`, so entries
+computed by an engine whose output has since changed are never read.
 """
 
 from __future__ import annotations
@@ -28,17 +31,20 @@ from ..fp.rounding import RoundingMode
 from ..memo.memo_table import MemoBank
 from ..workloads import build, default_steps
 
-__all__ = ["cache_dir", "census_stats", "cached_json",
-           "write_json_atomic", "StatsDict"]
+__all__ = ["ENGINE_FINGERPRINT", "cache_dir", "cache_path", "census_stats",
+           "cached_json", "write_json_atomic", "StatsDict"]
 
 StatsDict = Dict[Tuple[str, str], OpCounter]
 
-_MEMORY_CACHE: Dict[str, StatsDict] = {}
-#: guards the in-memory layer (sweep results can land from pool-callback
-#: threads while the main thread reads)
-_MEMORY_LOCK = threading.Lock()
+#: What the engine computes, as part of every cache key: the first 16
+#: hex digits of the sha256 of the engine goldens' canonical JSON,
+#: ``host`` left out (``tests/engine_goldens.py`` computes it).  It
+#: changes exactly when re-recorded goldens do.
+ENGINE_FINGERPRINT = "170c2570f6b8b5b3"
 
 _JSON_CACHE: Dict[str, dict] = {}
+#: guards the in-memory layer (sweep results can land from pool-callback
+#: threads while the main thread reads)
 _JSON_LOCK = threading.Lock()
 
 
@@ -72,9 +78,17 @@ def cache_dir() -> Path:
     return path
 
 
-def _key(payload: dict) -> str:
+def _entry(kind: str, params: dict) -> Tuple[dict, str, Path]:
+    """An entry's full key parameters, their hash, and its file."""
+    payload = {"engine": ENGINE_FINGERPRINT, "kind": kind, **params}
     blob = json.dumps(payload, sort_keys=True)
-    return hashlib.sha1(blob.encode()).hexdigest()[:16]
+    key = hashlib.sha1(blob.encode()).hexdigest()[:16]
+    return payload, key, cache_dir() / f"{kind}_{key}.json"
+
+
+def cache_path(kind: str, params: dict) -> Path:
+    """The file :func:`cached_json` keeps the ``(kind, params)`` entry in."""
+    return _entry(kind, params)[2]
 
 
 def _serialize(stats: StatsDict) -> dict:
@@ -97,21 +111,21 @@ def cached_json(kind: str, params: dict, compute,
                 use_cache: bool = True) -> dict:
     """Memoize an arbitrary JSON-valued computation by parameter tuple.
 
-    ``params`` must be JSON-serializable and fully determine the result;
-    ``compute()`` runs on a miss and must return a JSON-serializable
-    dict.  Entries share the census cache's layout: an in-memory layer
-    plus a ``{kind}_{key}.json`` file written atomically, so concurrent
-    sweep workers (processes *and* threads) can race on the same entry
-    safely.  ``use_cache=False`` bypasses both layers without poisoning
-    them (the fresh result is still stored for later hits).
+    ``params`` must be JSON-serializable and, with the engine
+    fingerprint, fully determine the result; ``compute()`` runs on a
+    miss and must return a JSON-serializable dict.  Entries live in an
+    in-memory layer plus a ``{kind}_{key}.json`` file written
+    atomically, so concurrent sweep workers (processes *and* threads)
+    can race on the same entry safely.  ``use_cache=False`` bypasses
+    both layers without poisoning them (the fresh result is still
+    stored for later hits).
     """
-    key = _key({"kind": kind, **params})
+    payload, key, path = _entry(kind, params)
     if use_cache:
         with _JSON_LOCK:
             cached = _JSON_CACHE.get(key)
         if cached is not None:
             return cached
-        path = cache_dir() / f"{kind}_{key}.json"
         if path.exists():
             try:
                 with path.open() as handle:
@@ -123,9 +137,7 @@ def cached_json(kind: str, params: dict, compute,
                     _JSON_CACHE[key] = result
                 return result
     result = compute()
-    write_json_atomic(cache_dir() / f"{kind}_{key}.json",
-                      {"params": {"kind": kind, **params},
-                       "result": result})
+    write_json_atomic(path, {"params": payload, "result": result})
     with _JSON_LOCK:
         _JSON_CACHE[key] = result
     return result
@@ -142,13 +154,26 @@ def census_stats(
 ) -> StatsDict:
     """Instrumented run returning per-(phase, op) census counters.
 
-    Results are cached by the full parameter tuple; delete the cache
-    directory to force re-simulation.
+    Results are cached (:func:`cached_json`) by the full parameter
+    tuple; every call returns its own counters.
     """
     steps = default_steps() if steps is None else steps
     mode = RoundingMode.parse(mode)
-    payload = {
-        "kind": "census",
+
+    def run() -> dict:
+        ctx = FPContext(
+            phase_precision,
+            mode=mode,
+            memo=MemoBank() if memo else None,
+            memo_budget=memo_budget if memo else None,
+            census=True,
+        )
+        world = build(scenario, ctx=ctx, scale=scale)
+        for _ in range(steps):
+            world.step()
+        return _serialize(ctx.stats)
+
+    return _deserialize(cached_json("census", {
         "scenario": scenario,
         "precision": dict(phase_precision or {}),
         "mode": mode.value,
@@ -156,38 +181,4 @@ def census_stats(
         "scale": scale,
         "memo": memo,
         "memo_budget": memo_budget if memo else 0,
-    }
-    key = _key(payload)
-    with _MEMORY_LOCK:
-        cached = _MEMORY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    path = cache_dir() / f"census_{key}.json"
-    if path.exists():
-        try:
-            with path.open() as handle:
-                stats = _deserialize(json.load(handle)["stats"])
-        except (OSError, ValueError, KeyError):
-            stats = None  # unreadable/corrupt entry: re-simulate
-        if stats is not None:
-            with _MEMORY_LOCK:
-                _MEMORY_CACHE[key] = stats
-            return stats
-
-    ctx = FPContext(
-        phase_precision,
-        mode=mode,
-        memo=MemoBank() if memo else None,
-        memo_budget=memo_budget if memo else None,
-        census=True,
-    )
-    world = build(scenario, ctx=ctx, scale=scale)
-    for _ in range(steps):
-        world.step()
-    stats = ctx.stats
-
-    write_json_atomic(path, {"params": payload, "stats": _serialize(stats)})
-    with _MEMORY_LOCK:
-        _MEMORY_CACHE[key] = stats
-    return stats
+    }, run))

@@ -13,7 +13,6 @@ included for side-by-side comparison in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -22,7 +21,7 @@ from ..perf.sweep import SweepJob, SweepOutcome, SweepRunner
 from ..tuning.believability import minimum_precision
 from ..workloads import SCENARIO_NAMES, default_steps
 from .report import render_table
-from .runcache import cache_dir, write_json_atomic
+from .runcache import cached_json
 
 __all__ = [
     "PAPER_TABLE1",
@@ -111,59 +110,57 @@ def compute_table1(
     """
     steps = default_steps() if steps is None else steps
     scenarios = list(scenarios or SCENARIO_NAMES)
-    path = cache_dir() / f"table1_s{steps}_x{scale}.json"
-    if use_cache and path.exists() and set(scenarios) == set(SCENARIO_NAMES):
-        with path.open() as handle:
-            data = json.load(handle)
-        return Table1Result(
-            independent=data["independent"],
-            narrow_combined=data["narrow_combined"],
-            steps=steps,
-            scale=scale,
-        )
+    computed = {}
 
-    runner = SweepRunner(workers)
-    grid = [SweepJob(
-        key=(scenario, phase, mode.value),
-        fn=_search_cell,
-        args=(scenario,),
-        kwargs=dict(phases=(phase,), mode=mode, steps=steps, scale=scale),
-    ) for scenario in scenarios
-        for phase in ("lcp", "narrow")
-        for mode in _MODES]
-    results = runner.run(grid)
-    probes = sum(r.ops for r in results)
-    bits_by_key = {r.key: r.value for r in results}
+    def search() -> dict:
+        runner = SweepRunner(workers)
+        grid = [SweepJob(
+            key=(scenario, phase, mode.value),
+            fn=_search_cell,
+            args=(scenario,),
+            kwargs=dict(phases=(phase,), mode=mode, steps=steps,
+                        scale=scale),
+        ) for scenario in scenarios
+            for phase in ("lcp", "narrow")
+            for mode in _MODES]
+        results = runner.run(grid)
+        probes = sum(r.ops for r in results)
+        bits_by_key = {r.key: r.value for r in results}
 
-    independent: Dict[str, Dict[str, Dict[str, int]]] = {}
-    for scenario in scenarios:
-        independent[scenario] = {
-            phase: {mode.value: bits_by_key[(scenario, phase, mode.value)]
-                    for mode in _MODES}
-            for phase in ("lcp", "narrow")}
+        independent: Dict[str, Dict[str, Dict[str, int]]] = {}
+        for scenario in scenarios:
+            independent[scenario] = {
+                phase: {mode.value: bits_by_key[(scenario, phase,
+                                                 mode.value)]
+                        for mode in _MODES}
+                for phase in ("lcp", "narrow")}
 
-    # Combined tuning: pin LCP at its jamming minimum, re-search narrow.
-    combined = [SweepJob(
-        key=(scenario, "narrow_combined"),
-        fn=_search_cell,
-        args=(scenario,),
-        kwargs=dict(
-            phases=("narrow",), mode=RoundingMode.JAMMING, steps=steps,
-            scale=scale,
-            fixed_precision={
-                "lcp": independent[scenario]["lcp"][
-                    RoundingMode.JAMMING.value]}),
-    ) for scenario in scenarios]
-    combined_results = runner.run(combined)
-    probes += sum(r.ops for r in combined_results)
-    narrow_combined: Dict[str, int] = {
-        r.key[0]: r.value for r in combined_results}
+        # Combined tuning: pin LCP at its jamming minimum, re-search
+        # narrow.
+        combined = [SweepJob(
+            key=(scenario, "narrow_combined"),
+            fn=_search_cell,
+            args=(scenario,),
+            kwargs=dict(
+                phases=("narrow",), mode=RoundingMode.JAMMING,
+                steps=steps, scale=scale,
+                fixed_precision={
+                    "lcp": independent[scenario]["lcp"][
+                        RoundingMode.JAMMING.value]}),
+        ) for scenario in scenarios]
+        combined_results = runner.run(combined)
+        computed["probes"] = probes + sum(r.ops for r in combined_results)
+        return {"independent": independent,
+                "narrow_combined": {r.key[0]: r.value
+                                    for r in combined_results}}
 
     if set(scenarios) == set(SCENARIO_NAMES):
-        write_json_atomic(path, {"independent": independent,
-                                 "narrow_combined": narrow_combined})
-    return Table1Result(independent, narrow_combined, steps, scale,
-                        probes=probes)
+        data = cached_json("table1", {"steps": steps, "scale": scale},
+                           search, use_cache=use_cache)
+    else:  # a partial grid is not cached
+        data = search()
+    return Table1Result(data["independent"], data["narrow_combined"], steps,
+                        scale, probes=computed.get("probes"))
 
 
 def tuned_precisions(

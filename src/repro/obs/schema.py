@@ -45,8 +45,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["SCHEMA_VERSION", "SUPPORTED_SCHEMA_VERSIONS", "EVENT_KINDS",
-           "SERVE_OPS", "V2_KINDS", "V3_KINDS", "V4_KINDS", "V6_KINDS",
-           "validate_event", "validate_events"]
+           "KINDS_SINCE", "SERVE_OPS", "validate_event", "validate_events"]
 
 SCHEMA_VERSION = 6
 
@@ -171,17 +170,16 @@ EVENT_KINDS: Dict[str, Dict[str, tuple]] = {
     },
 }
 
-#: Kinds introduced by schema version 2.
-V2_KINDS = ("serve.request", "serve.batch", "serve.evict")
-
-#: Kinds introduced by schema version 3.
-V3_KINDS = ("serve.recover", "serve.drain")
-
-#: Kinds introduced by schema version 4.
-V4_KINDS = ("serve.route", "serve.migrate")
-
-#: Kinds introduced by schema version 6.
-V6_KINDS = ("serve.design",)
+#: Schema version -> the event kinds it introduced (version 5 added a
+#: controller action, not a kind).
+KINDS_SINCE: Dict[int, Tuple[str, ...]] = {
+    1: ("meta", "step", "controller", "detection", "recovery",
+        "sweep_job", "sweep"),
+    2: ("serve.request", "serve.batch", "serve.evict"),
+    3: ("serve.recover", "serve.drain"),
+    4: ("serve.route", "serve.migrate"),
+    6: ("serve.design",),
+}
 
 _RECOVER_OUTCOMES = ("recovered", "degraded", "respawned", "lost")
 

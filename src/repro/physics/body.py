@@ -9,7 +9,7 @@ two-sided and branch-free.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,11 @@ from . import math3d
 __all__ = ["BodyStore"]
 
 _IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32)
+
+#: every per-body array of a store
+_ARRAYS = ("pos", "quat", "linvel", "angvel", "invmass", "mass",
+           "inv_inertia_body", "inertia_body", "asleep", "low_motion_steps",
+           "rot", "inv_inertia_world")
 
 
 class BodyStore:
@@ -45,13 +50,8 @@ class BodyStore:
 
     def _grow(self) -> None:
         old_n = self._n
-        arrays = [
-            "pos", "quat", "linvel", "angvel", "invmass", "mass",
-            "inv_inertia_body", "inertia_body", "asleep",
-            "low_motion_steps", "rot", "inv_inertia_world",
-        ]
         snapshot = {name: getattr(self, name)[:old_n].copy()
-                    for name in arrays}
+                    for name in _ARRAYS}
         self._alloc(max(2 * old_n, 16))
         for name, data in snapshot.items():
             getattr(self, name)[:old_n] = data
@@ -139,8 +139,12 @@ class BodyStore:
             for j in range(3):
                 out[:, i, j] = math3d.dot(ctx, scaled[:, i, :], rot[:, j, :])
         self.inv_inertia_world[:n] = out
+        self.clear_world_row()
+
+    def clear_world_row(self) -> None:
+        """Keep the world-body row inert."""
+        n = self._n
         self.inv_inertia_world[n] = 0.0
-        # Keep the world-body row inert.
         self.linvel[n] = 0.0
         self.angvel[n] = 0.0
         self.invmass[n] = 0.0
@@ -149,3 +153,34 @@ class BodyStore:
         """Guarantee capacity for the virtual world body row."""
         if self._n >= len(self.invmass):
             self._grow()
+
+    # ------------------------------------------------------------------
+    # Stacking (one pass over many worlds' bodies)
+    # ------------------------------------------------------------------
+    @classmethod
+    def stack(cls, stores: Sequence["BodyStore"]) -> "BodyStore":
+        """A new store holding the bodies of ``stores`` back to back.
+
+        Every array is a copy; the last store's world row becomes the
+        stack's, so each store must have one (:meth:`ensure_world_row`).
+        A single-store pass run on the stack equals running it on each
+        store, because the passes are elementwise over bodies;
+        :meth:`unstack` copies its results back.
+        """
+        stacked = cls.__new__(cls)
+        stacked._n = sum(store.count for store in stores)
+        head, last = stores[:-1], stores[-1]
+        for name in _ARRAYS:
+            parts = [getattr(store, name)[:store.count] for store in head]
+            parts.append(last.view(name))
+            setattr(stacked, name, np.concatenate(parts))
+        return stacked
+
+    def unstack(self, stores: Sequence["BodyStore"], *names: str) -> None:
+        """Copy the arrays ``names`` back to the stores :meth:`stack` read."""
+        base = 0
+        for store in stores:
+            n = store.count
+            for name in names:
+                getattr(store, name)[:n] = getattr(self, name)[base:base + n]
+            base += n

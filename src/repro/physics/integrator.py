@@ -20,14 +20,18 @@ __all__ = ["apply_gravity", "integrate"]
 def apply_gravity(
     ctx: FPContext, bodies: BodyStore, gravity: np.ndarray, dt: float
 ) -> None:
-    """Accumulate gravity into linear velocities (dynamic, awake bodies)."""
+    """Accumulate gravity into linear velocities (dynamic, awake bodies).
+
+    ``gravity`` is one vector for every body, or one row per body (a
+    stack of worlds whose gravities differ).
+    """
     n = bodies.count
     if n == 0:
         return
     active = (bodies.invmass[:n] > 0) & ~bodies.asleep[:n]
     dv = np.where(
         active[:, None],
-        np.asarray(gravity, dtype=np.float32)[None, :] * np.float32(dt),
+        np.asarray(gravity, dtype=np.float32) * np.float32(dt),
         np.float32(0.0),
     )
     bodies.linvel[:n] = ctx.add(bodies.linvel[:n], dv)

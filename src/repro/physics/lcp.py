@@ -18,7 +18,7 @@ velocity is ``J v = Jla.va + Jaa.wa + Jlb.vb + Jab.wb``; impulses apply as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .joints import JointStore
 from .narrowphase import ContactSet
 
 __all__ = ["ConstraintRows", "SolverParams", "ContactCache",
-           "build_rows", "solve", "solve_rows", "solver_residual",
-           "apply_warm_start_impulses"]
+           "build_rows", "solve", "solve_worlds", "solve_rows",
+           "solver_residual", "apply_warm_start_impulses"]
 
 _BIG = np.float32(3.0e38)
 
@@ -422,6 +422,84 @@ def solve(
     angvel[:] = vel[:, 3:]
 
 
+def solve_worlds(
+    ctx: FPContext,
+    stores: Sequence[BodyStore],
+    rows_list: Sequence[ConstraintRows],
+    params: SolverParams,
+) -> None:
+    """Relax the rows of K independent worlds: the K-world :func:`solve`.
+
+    ``rows_list[k]`` holds world ``k``'s rows against ``stores[k]``.
+    When more than one world has rows under the Jacobi scheme, the row
+    sets are concatenated and relaxed in one :func:`solve_rows` call:
+    world ``k``'s body slots are offset by the slot count of worlds
+    ``0..k-1`` (``count + 1`` each, the virtual world body included),
+    friction rows' normal indices by the running row count, and every
+    world body is pinned.  The solver's stable incidence sort then
+    applies each body's impulses in the order K separate solves would,
+    so the result is the same bit for bit.  Otherwise each world is
+    solved on its own.
+    """
+    active = list(zip(stores, rows_list))
+    if len(active) > 1:
+        active = [(bodies, rows) for bodies, rows in active if len(rows)]
+    if (len(active) < 2 or params.scheme != "jacobi"
+            or params.iterations <= 0):
+        for bodies, rows in active:
+            solve(ctx, bodies, rows, params)
+        return
+
+    slot_base = []
+    vels = []
+    base = 0
+    for bodies, _ in active:
+        slot_base.append(base)
+        vels.append(np.concatenate(
+            [bodies.view("linvel"), bodies.view("angvel")],
+            axis=1).astype(np.float32))
+        base += bodies.world_index + 1
+    vel = np.concatenate(vels, axis=0)
+
+    row_counts = [len(rows) for _, rows in active]
+    row_base = np.concatenate(
+        [[0], np.cumsum(row_counts[:-1])]).astype(np.int64)
+    adjusted_ni = []
+    for (_, rows), rbase in zip(active, row_base):
+        ni = rows.normal_index.copy()
+        ni[ni >= 0] += np.int32(rbase)
+        adjusted_ni.append(ni)
+
+    def _cat(attr):
+        return np.concatenate([getattr(rows, attr) for _, rows in active])
+
+    merged = ConstraintRows(
+        ia=np.concatenate([rows.ia.astype(np.int64) + sbase
+                           for (_, rows), sbase in zip(active, slot_base)]),
+        ib=np.concatenate([rows.ib.astype(np.int64) + sbase
+                           for (_, rows), sbase in zip(active, slot_base)]),
+        jla=None, jaa=None, jlb=None, jab=None,
+        rhs=_cat("rhs"), lo=_cat("lo"), hi=_cat("hi"), mu=_cat("mu"),
+        normal_index=np.concatenate(adjusted_ni),
+    )
+    merged.inv_d = _cat("inv_d")
+    merged.lam = _cat("lam")
+    merged.jacobian = _cat("jacobian")
+    merged.inv_mass_jt = _cat("inv_mass_jt")
+    pinned = np.array([sbase + bodies.world_index
+                       for (bodies, _), sbase in zip(active, slot_base)],
+                      dtype=np.int64)
+
+    solve_rows(ctx, vel, merged, params, pinned)
+
+    for (bodies, rows), sbase, rbase, rcount in zip(
+            active, slot_base, row_base, row_counts):
+        sub = vel[sbase:sbase + bodies.world_index + 1]
+        bodies.view("linvel")[:] = sub[:, :3]
+        bodies.view("angvel")[:] = sub[:, 3:]
+        rows.lam = merged.lam[rbase:rbase + rcount]
+
+
 def solve_rows(
     ctx: FPContext,
     vel: np.ndarray,
@@ -433,8 +511,8 @@ def solve_rows(
 
     ``vel`` is ``[linvel | angvel]`` per slot, updated in place;
     ``pinned`` lists slot indices held at zero velocity — one virtual
-    world body per world, so a :class:`~repro.physics.batch.WorldBatch`
-    can solve the concatenated rows of K stacked worlds in one call.
+    world body per world, so :func:`solve_worlds` can solve the
+    concatenated rows of K worlds in one call.
     """
     if len(rows) == 0 or params.iterations <= 0:
         return

@@ -8,6 +8,11 @@
 4. **lcp**    — constraint relaxation, 20 iterations (precision-tuned);
 5. **integrate** — semi-implicit Euler + energy monitoring.
 
+The flow exists once, in :func:`step_worlds`: a world's step is a fleet
+of one, and :class:`~repro.physics.batch.WorldBatch` runs the same
+function over K worlds, with the refresh/gravity kick, the constraint
+solve and the integration stacked across them.
+
 The world owns one :class:`~repro.fp.FPContext`; phases switch the
 context's label so the narrow/LCP work executes at whatever mantissa
 width the tuner (or an experiment) installed, while everything else stays
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .joints import JointStore
 from .series import BoundedSeries
 from .shapes import GeomStore, box_inertia, capsule_inertia, sphere_inertia
 
-__all__ = ["World", "SleepParams"]
+__all__ = ["World", "SleepParams", "step_worlds"]
 
 DEFAULT_TIMESTEP = 0.01
 STEPS_PER_FRAME = 3
@@ -173,110 +178,7 @@ class World:
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance the world by one ``dt`` timestep."""
-        ctx = self.ctx
-        obs = self.observer
-        if obs is not None:
-            obs.begin_step(self)
-        self.bodies.ensure_world_row()
-
-        for explosion in self.explosions:
-            if explosion.trigger_step == self.step_count:
-                explosion.apply(self)
-
-        t0 = time.perf_counter() if obs is not None else 0.0
-        with ctx.in_phase("integrate"):
-            self.bodies.refresh_derived(ctx)
-            integrator.apply_gravity(ctx, self.bodies, self.gravity, self.dt)
-            for cloth in self.cloths:
-                cloth.apply_gravity(ctx, self.gravity, self.dt)
-        if obs is not None:
-            obs.phase_done("integrate", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-
-        # --- collision detection -------------------------------------
-        aabbs = self.geoms.world_aabbs(
-            self.bodies.view("pos"), self.bodies.view("rot"))
-        pairs = broadphase.candidate_pairs(self.geoms, aabbs)
-        if obs is not None:
-            obs.phase_done("broad", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-
-        with ctx.in_phase("narrow"):
-            contacts = narrowphase.generate_contacts(
-                ctx, self.bodies, self.geoms, pairs)
-        if obs is not None:
-            obs.phase_done("narrow", time.perf_counter() - t0)
-        self.last_contact_count = len(contacts)
-        self.penetration_series.append(
-            float(contacts.depth.max()) if len(contacts) else 0.0)
-        if self.guards is not None:
-            self.guards.after_narrow(self, contacts)
-
-        # --- islands ---------------------------------------------------
-        if obs is not None:
-            t0 = time.perf_counter()
-        jp = self.joints.packed()
-        edges_a = np.concatenate([
-            np.asarray(contacts.body_a, dtype=np.int64),
-            jp["ball_a"], jp["hinge_a"],
-        ])
-        edges_b = np.concatenate([
-            np.asarray(contacts.body_b, dtype=np.int64),
-            jp["ball_b"], jp["hinge_b"],
-        ])
-        self.island_labels = partition_islands(
-            self.bodies.count, self.bodies.dynamic_mask(),
-            edges_a, edges_b)
-        if obs is not None:
-            obs.phase_done("islands", time.perf_counter() - t0)
-            t0 = time.perf_counter()
-
-        # --- constraint solve ------------------------------------------
-        with ctx.in_phase("lcp"):
-            rows = lcp.build_rows(ctx, self.bodies, contacts, self.joints,
-                                  self.dt, self.solver)
-            if self.solver.warm_start:
-                matched = self.contact_cache.warm_start(
-                    contacts, rows, self.solver)
-                if matched:
-                    lcp.apply_warm_start_impulses(ctx, self.bodies, rows)
-            lcp.solve(ctx, self.bodies, rows, self.solver)
-            if self.solver.warm_start:
-                self.contact_cache.store(contacts, rows)
-            for cloth in self.cloths:
-                cloth.solve_constraints(ctx, self.dt,
-                                        self.solver.iterations)
-                cloth.collide(ctx, self)
-        if obs is not None:
-            obs.phase_done("lcp", time.perf_counter() - t0)
-
-        if self.guards is not None:
-            self.last_lcp_residual = lcp.solver_residual(self.bodies, rows)
-            self.guards.after_lcp(self, self.last_lcp_residual)
-
-        # Sleep bookkeeping uses post-solve velocities (pre-solve ones
-        # carry the just-applied gravity kick even for resting bodies).
-        self._update_sleep_state(contacts)
-
-        # --- integration ------------------------------------------------
-        if obs is not None:
-            t0 = time.perf_counter()
-        with ctx.in_phase("integrate"):
-            for cloth in self.cloths:
-                cloth.integrate(ctx, self.dt)
-            # Last: it ends the step's FP work (see its docstring).
-            integrator.integrate(ctx, self.bodies, self.dt)
-        if obs is not None:
-            obs.phase_done("integrate", time.perf_counter() - t0)
-
-        record = self.monitor.measure(self, self.step_count)
-        if self.guards is not None:
-            self.guards.after_integrate(self, record)
-        self.step_count += 1
-        if obs is not None:
-            obs.end_step(self, record)
-        if self.on_step is not None:
-            self.on_step(self, record)
+        step_worlds((self,))
 
     def step_frame(self) -> None:
         """Advance one rendered frame (3 substeps, the paper's setting)."""
@@ -377,3 +279,175 @@ class World:
         labels = self.island_labels
         return int(labels.max()) + 1 if len(labels) and labels.max() >= 0 \
             else 0
+
+
+# ----------------------------------------------------------------------
+# The step pipeline
+# ----------------------------------------------------------------------
+def step_worlds(worlds: Sequence[World]) -> None:
+    """Advance each of ``worlds`` by one timestep: the one step pipeline.
+
+    :meth:`World.step` runs it for one world and
+    :meth:`~repro.physics.batch.WorldBatch.step` for a fleet.  Broad
+    phase, narrow phase, islands, row building, cloth and sleep run
+    world by world; the derived-state refresh with the gravity kick,
+    the constraint solve (:func:`~repro.physics.lcp.solve_worlds`) and
+    the body integration each run once over every world's bodies: a
+    lone world's own store, or a fleet's bodies stacked into one.
+    Every op runs on the first world's context, so the worlds must
+    agree on ``dt``, solver parameters and op semantics (``WorldBatch``
+    checks this).  Each hook runs for every world that has it; an
+    observer is told a stacked phase's time for the whole group.
+    """
+    head = worlds[0]
+    ctx = head.ctx
+    timed = False
+    for world in worlds:
+        if world.observer is not None:
+            world.observer.begin_step(world)
+            timed = True
+        world.bodies.ensure_world_row()
+        for explosion in world.explosions:
+            if explosion.trigger_step == world.step_count:
+                explosion.apply(world)
+
+    t0 = time.perf_counter() if timed else 0.0
+    with ctx.in_phase("integrate"):
+        bodies, stacked = _stacked_bodies(worlds)
+        bodies.refresh_derived(ctx)
+        gravity = head.gravity
+        if stacked:  # per body: a fleet may mix gravities
+            gravity = np.repeat([world.gravity for world in stacked],
+                                [world.bodies.count for world in stacked],
+                                axis=0)
+        integrator.apply_gravity(ctx, bodies, gravity, head.dt)
+        for world in worlds:
+            for cloth in world.cloths:
+                cloth.apply_gravity(ctx, world.gravity, world.dt)
+    if stacked:
+        stores = [world.bodies for world in stacked]
+        bodies.unstack(stores, "rot", "inv_inertia_world", "linvel")
+        for store in stores:
+            store.clear_world_row()
+    if timed:
+        _phase_done(worlds, "integrate", t0)
+
+    all_contacts = []
+    for world in worlds:
+        obs = world.observer
+        if obs is not None:
+            t0 = time.perf_counter()
+        # --- collision detection -------------------------------------
+        bodies = world.bodies
+        aabbs = world.geoms.world_aabbs(bodies.view("pos"),
+                                        bodies.view("rot"))
+        pairs = broadphase.candidate_pairs(world.geoms, aabbs)
+        if obs is not None:
+            obs.phase_done("broad", time.perf_counter() - t0)
+            t0 = time.perf_counter()
+
+        with ctx.in_phase("narrow"):
+            contacts = narrowphase.generate_contacts(
+                ctx, bodies, world.geoms, pairs)
+        if obs is not None:
+            obs.phase_done("narrow", time.perf_counter() - t0)
+        world.last_contact_count = count = len(contacts)
+        world.penetration_series.append(
+            float(contacts.depth.max()) if count else 0.0)
+        if world.guards is not None:
+            world.guards.after_narrow(world, contacts)
+
+        # --- islands ---------------------------------------------------
+        if obs is not None:
+            t0 = time.perf_counter()
+        jp = world.joints.packed()
+        edges_a = np.concatenate([
+            np.asarray(contacts.body_a, dtype=np.int64),
+            jp["ball_a"], jp["hinge_a"],
+        ])
+        edges_b = np.concatenate([
+            np.asarray(contacts.body_b, dtype=np.int64),
+            jp["ball_b"], jp["hinge_b"],
+        ])
+        world.island_labels = partition_islands(
+            bodies.count, bodies.dynamic_mask(), edges_a, edges_b)
+        if obs is not None:
+            obs.phase_done("islands", time.perf_counter() - t0)
+        all_contacts.append(contacts)
+
+    # --- constraint solve ------------------------------------------------
+    t0 = time.perf_counter() if timed else 0.0
+    with ctx.in_phase("lcp"):
+        all_rows = []
+        for world, contacts in zip(worlds, all_contacts):
+            rows = lcp.build_rows(ctx, world.bodies, contacts, world.joints,
+                                  world.dt, world.solver)
+            if world.solver.warm_start and world.contact_cache.warm_start(
+                    contacts, rows, world.solver):
+                lcp.apply_warm_start_impulses(ctx, world.bodies, rows)
+            all_rows.append(rows)
+        lcp.solve_worlds(ctx, [world.bodies for world in worlds], all_rows,
+                         head.solver)
+        for world, contacts, rows in zip(worlds, all_contacts, all_rows):
+            if world.solver.warm_start:
+                world.contact_cache.store(contacts, rows)
+            for cloth in world.cloths:
+                cloth.solve_constraints(ctx, world.dt,
+                                        world.solver.iterations)
+                cloth.collide(ctx, world)
+    if timed:
+        _phase_done(worlds, "lcp", t0)
+
+    for world, contacts, rows in zip(worlds, all_contacts, all_rows):
+        if world.guards is not None:
+            world.last_lcp_residual = lcp.solver_residual(world.bodies, rows)
+            world.guards.after_lcp(world, world.last_lcp_residual)
+        # Sleep bookkeeping uses post-solve velocities (pre-solve ones
+        # carry the just-applied gravity kick even for resting bodies).
+        world._update_sleep_state(contacts)
+
+    # --- integration ----------------------------------------------------
+    t0 = time.perf_counter() if timed else 0.0
+    with ctx.in_phase("integrate"):
+        for world in worlds:
+            for cloth in world.cloths:
+                cloth.integrate(ctx, world.dt)
+        bodies, stacked = _stacked_bodies(worlds)
+        # Last: it ends the step's FP work (see its docstring).
+        integrator.integrate(ctx, bodies, head.dt)
+    if stacked:
+        bodies.unstack([world.bodies for world in stacked], "pos", "quat")
+    if timed:
+        _phase_done(worlds, "integrate", t0)
+
+    for world in worlds:
+        record = world.monitor.measure(world, world.step_count)
+        if world.guards is not None:
+            world.guards.after_integrate(world, record)
+        world.step_count += 1
+        if world.observer is not None:
+            world.observer.end_step(world, record)
+        if world.on_step is not None:
+            world.on_step(world, record)
+
+
+def _stacked_bodies(worlds) -> Tuple[BodyStore, Sequence[World]]:
+    """The store a stacked pass runs on, and the worlds stacked into it.
+
+    A lone world's own store, with nothing to copy back; for a fleet, a
+    new store of its non-empty worlds' bodies (:meth:`BodyStore.stack`).
+    """
+    if len(worlds) == 1:
+        return worlds[0].bodies, ()
+    stacked = [world for world in worlds if world.bodies.count]
+    if not stacked:
+        return BodyStore(), ()
+    return BodyStore.stack([world.bodies for world in stacked]), stacked
+
+
+def _phase_done(worlds, phase: str, t0: float) -> None:
+    """Tell every world's observer the time since ``t0`` in ``phase``."""
+    seconds = time.perf_counter() - t0
+    for world in worlds:
+        if world.observer is not None:
+            world.observer.phase_done(phase, seconds)

@@ -17,6 +17,10 @@ Threads, not processes: worlds are live object graphs that do not cross
 a pickle boundary, and the step loop spends its time in numpy kernels
 that release the GIL.
 
+Step requests of compatible sessions coalesce into one fleet task
+(:class:`~repro.physics.WorldBatch`); a solo request is a group of one,
+so one coroutine runs, times out, respawns and answers both.
+
 A request that exceeds its admission budget is abandoned — its future
 fails with ``budget_exceeded``.  When the session has a journal mark
 the scheduler *respawns* it (fresh world rewound to the last journaled
@@ -39,6 +43,7 @@ on the loop thread.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,22 +55,26 @@ from .protocol import ServiceError
 __all__ = ["BatchScheduler", "WorkItem"]
 
 
-def _fleet_step_fn(sessions, steps: int):
-    """Advance a compatible session group on one worker thread.
-
-    Builds a :class:`~repro.physics.WorldBatch` over the member worlds
-    and steps the fleet in lockstep — bit-identical to per-session
-    stepping, but each phase runs as one stacked-array pass.  Should
-    the worlds turn out incompatible after all (a config drifted
-    between planning and execution), falls back to sequential
-    per-session stepping on the same thread.
-    """
+def _fleet_of(group):
+    """The :class:`~repro.physics.WorldBatch` of a planned fleet, or
+    ``None`` when a member closed after planning or the worlds cannot
+    form one (the group then runs as solo items)."""
     from ..physics.batch import BatchIncompatible, WorldBatch
 
+    if any(item.session.state != "active" for item in group):
+        return None
     try:
-        fleet = WorldBatch([session.world for session in sessions])
+        return WorldBatch([item.session.world for item in group])
     except BatchIncompatible:
-        return [session.step(steps) for session in sessions]
+        return None
+
+
+def _fleet_step_fn(fleet, sessions, steps: int):
+    """Advance a fleet on one worker thread and describe its members.
+
+    Bit-identical to per-session stepping, but each phase runs as one
+    stacked-array pass over every member world.
+    """
     for _ in range(steps):
         fleet.step()
     results = []
@@ -222,23 +231,22 @@ class BatchScheduler:
         self._queue = remaining
         return batch
 
-    def _plan_fleets(self, batch: List[WorkItem]):
-        """Split a tick's batch into fleet groups and singleton items.
+    def _plan(self, batch: List[WorkItem]) -> List[List[WorkItem]]:
+        """Split a tick's batch into run groups: solo items, then fleets.
 
         Step requests whose sessions share a :meth:`fleet_key` and step
-        count coalesce into one :class:`~repro.physics.WorldBatch`
-        executor task; everything else (snapshots, restores, guarded or
-        otherwise ineligible sessions, groups of one) dispatches on the
-        per-item path unchanged.
+        count coalesce into one fleet group; everything else
+        (snapshots, restores, guarded or otherwise ineligible sessions,
+        groups of one) is a group of one.
         """
         if not self.fleet_step:
-            return [], batch
+            return [[item] for item in batch]
         groups: Dict[tuple, List[WorkItem]] = {}
-        singles: List[WorkItem] = []
+        singles: List[List[WorkItem]] = []
         for item in batch:
             key = item.session.fleet_key() if item.steps > 0 else None
             if key is None:
-                singles.append(item)
+                singles.append([item])
             else:
                 groups.setdefault((key, item.steps), []).append(item)
         fleets = []
@@ -246,18 +254,16 @@ class BatchScheduler:
             if len(members) >= 2:
                 fleets.append(members)
             else:
-                singles.extend(members)
-        return fleets, singles
+                singles.append(members)
+        return singles + fleets
 
     async def _dispatch(self, batch: List[WorkItem]) -> None:
         start = time.perf_counter()
         self._in_flight = len(batch)
         self._idle.clear()
         try:
-            fleets, singles = self._plan_fleets(batch)
-            await asyncio.gather(
-                *(self._run_item(item) for item in singles),
-                *(self._run_fleet(group) for group in fleets))
+            await asyncio.gather(*(self._run_group(group)
+                                   for group in self._plan(batch)))
         finally:
             self._in_flight = 0
             self._idle.set()
@@ -317,105 +323,74 @@ class BatchScheduler:
             self.registry.histogram(
                 "serve.recovery.seconds").observe(event["wall"])
 
-    async def _run_item(self, item: WorkItem) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            if item.session.state != "active":
-                raise ServiceError(
-                    "session_closed",
-                    f"session {item.session.id} is {item.session.state}")
-            result = await asyncio.wait_for(
-                loop.run_in_executor(self._executor, item.fn),
-                timeout=item.budget)
-            if not item.future.done():
-                item.future.set_result(result)
-        except asyncio.TimeoutError:
-            outcome = self._respawn_or_evict(
-                item, f"step budget of {item.budget:.3f}s exceeded")
-            if not item.future.done():
-                item.future.set_exception(ServiceError(
-                    "budget_exceeded",
-                    f"step budget of {item.budget:.3f}s exceeded; "
-                    f"session {item.session.id} {outcome}"))
-        except ServiceError as exc:
-            if not item.future.done():
-                item.future.set_exception(exc)
-        except Exception as exc:  # noqa: BLE001 - marshal to the client
-            detail = f"{type(exc).__name__}: {exc}"
-            outcome = self._respawn_or_evict(item, detail)
-            if not item.future.done():
-                if outcome.startswith("respawned"):
-                    session = self.manager._sessions[item.session.id]
-                    item.future.set_exception(ServiceError(
-                        "session_degraded",
-                        f"step failed ({detail}); session respawned at "
-                        f"journaled step {session.world.step_count}",
-                        extra={"session": item.session.id,
-                               "step": session.world.step_count}))
-                else:
-                    item.future.set_exception(ServiceError(
-                        "internal", f"{detail}; session "
-                                    f"{item.session.id} evicted"))
-        finally:
-            self.admission.release(item.session.id)
+    async def _run_group(self, group: List[WorkItem]) -> None:
+        """Run one group on a worker thread and answer its futures.
 
-    async def _run_fleet(self, group: List[WorkItem]) -> None:
-        """Step a compatible session group as one vectorized batch.
-
-        Failure semantics match the per-item path, applied to every
-        member: a fleet task that times out or raises leaves its worlds
-        mid-step, so each member session is respawned from its journal
-        (or evicted) exactly as a failed solo step would be.
+        A solo item runs its own ``fn``; a fleet steps its members'
+        worlds as one :class:`~repro.physics.WorldBatch`
+        (:func:`_fleet_step_fn`), or runs its members as solo items
+        when they cannot form one.  A task that overruns its budget or
+        raises leaves its worlds mid-step, so every member is respawned
+        from its journal (or evicted) and answered as a failed step.
         """
-        if any(item.session.state != "active" for item in group):
-            await asyncio.gather(*(self._run_item(item)
+        fleet = _fleet_of(group) if len(group) > 1 else None
+        if fleet is None and len(group) > 1:
+            await asyncio.gather(*(self._run_group([item])
                                    for item in group))
             return
+        work = group[0].fn if fleet is None else functools.partial(
+            _fleet_step_fn, fleet, [item.session for item in group],
+            group[0].steps)
         loop = asyncio.get_running_loop()
-        sessions = [item.session for item in group]
-        steps = group[0].steps
         budget = max(item.budget for item in group)
         try:
-            results = await asyncio.wait_for(
-                loop.run_in_executor(self._executor, _fleet_step_fn,
-                                     sessions, steps),
-                timeout=budget)
-            self.fleet_batches += 1
-            self.fleet_sessions += len(group)
-            if self.registry is not None:
-                self.registry.counter("serve.fleet.batches").inc()
-                self.registry.counter(
-                    "serve.fleet.sessions").inc(len(group))
-            for item, result in zip(group, results):
-                if not item.future.done():
-                    item.future.set_result(result)
-        except asyncio.TimeoutError:
             for item in group:
-                outcome = self._respawn_or_evict(
-                    item, f"fleet step budget of {budget:.3f}s exceeded")
+                if item.session.state != "active":
+                    raise ServiceError(
+                        "session_closed",
+                        f"session {item.session.id} is "
+                        f"{item.session.state}")
+            result = await asyncio.wait_for(
+                loop.run_in_executor(self._executor, work),
+                timeout=budget)
+            if fleet is None:
+                result = [result]
+            else:  # counted only once a WorldBatch has stepped
+                self.fleet_batches += 1
+                self.fleet_sessions += len(group)
+                if self.registry is not None:
+                    self.registry.counter("serve.fleet.batches").inc()
+                    self.registry.counter(
+                        "serve.fleet.sessions").inc(len(group))
+            for item, answer in zip(group, result):
                 if not item.future.done():
-                    item.future.set_exception(ServiceError(
-                        "budget_exceeded",
-                        f"fleet step budget of {budget:.3f}s exceeded; "
-                        f"session {item.session.id} {outcome}"))
-        except Exception as exc:  # noqa: BLE001 - marshal to the clients
+                    item.future.set_result(answer)
+        except asyncio.TimeoutError:
+            reason = f"step budget of {budget:.3f}s exceeded"
+            for item in group:
+                outcome = self._respawn_or_evict(item, reason)
+                _fail(item, ServiceError(
+                    "budget_exceeded",
+                    f"{reason}; session {item.session.id} {outcome}"))
+        except ServiceError as exc:
+            for item in group:
+                _fail(item, exc)
+        except Exception as exc:  # noqa: BLE001 - marshal to the client
             detail = f"{type(exc).__name__}: {exc}"
             for item in group:
                 outcome = self._respawn_or_evict(item, detail)
-                if not item.future.done():
-                    if outcome.startswith("respawned"):
-                        session = self.manager._sessions[item.session.id]
-                        item.future.set_exception(ServiceError(
-                            "session_degraded",
-                            f"fleet step failed ({detail}); session "
-                            f"respawned at journaled step "
-                            f"{session.world.step_count}",
-                            extra={"session": item.session.id,
-                                   "step": session.world.step_count}))
-                    else:
-                        item.future.set_exception(ServiceError(
-                            "internal", f"{detail}; session "
-                                        f"{item.session.id} evicted"))
+                if outcome.startswith("respawned"):
+                    step = self.manager._sessions[
+                        item.session.id].world.step_count
+                    _fail(item, ServiceError(
+                        "session_degraded",
+                        f"step failed ({detail}); session respawned at "
+                        f"journaled step {step}",
+                        extra={"session": item.session.id, "step": step}))
+                else:
+                    _fail(item, ServiceError(
+                        "internal", f"{detail}; session "
+                                    f"{item.session.id} evicted"))
         finally:
             for item in group:
                 self.admission.release(item.session.id)
@@ -442,3 +417,8 @@ class BatchScheduler:
             "step": fresh.world.step_count,
         })
         return f"respawned at step {fresh.world.step_count}"
+
+
+def _fail(item: WorkItem, error: ServiceError) -> None:
+    if not item.future.done():
+        item.future.set_exception(error)

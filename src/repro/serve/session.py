@@ -288,7 +288,9 @@ class Session:
         over every member world.  Anything stateful beyond the plain
         step loop (guards, adaptive control, fault drills) opts out, as
         does any world the batch layer itself cannot take
-        (:func:`~repro.physics.fleet_ineligibility`).
+        (:func:`~repro.physics.fleet_ineligibility`).  The key reads
+        the live precision register, which a ``restore`` with
+        ``precisions`` rewrites, as the batch layer's own check does.
         """
         config = self.config
         if (self.state != "active" or config.adaptive or config.guarded
@@ -298,8 +300,9 @@ class Session:
 
         if fleet_ineligibility(self.world) is not None:
             return None
-        return (config.scenario, config.scale, config.mode,
-                tuple(sorted(config.precision.items())))
+        ctx = self.world.ctx
+        return (config.scenario, config.scale, ctx.mode,
+                tuple(sorted(ctx.phase_precision.items())))
 
     def fleet_step(self, steps: int) -> None:
         """Bookkeeping for steps advanced by a fleet batch."""

@@ -23,6 +23,7 @@ the tests skip elsewhere.  Record from the repository root with::
     PYTHONPATH=src python -m tests.engine_goldens
 
 and only from a commit whose engine output is the intended reference.
+It prints the new ``ENGINE_FINGERPRINT`` for the run cache's keys.
 """
 
 from __future__ import annotations
@@ -101,6 +102,15 @@ requires_golden_host = pytest.mark.skipif(
 def load() -> dict:
     with GOLDENS_PATH.open() as handle:
         return json.load(handle)
+
+
+def engine_fingerprint(goldens: dict) -> str:
+    """``runcache.ENGINE_FINGERPRINT`` for these goldens: the first 16
+    hex digits of the sha256 of their canonical JSON, ``host`` left
+    out, so it names what the engine computes and not where."""
+    blob = json.dumps({k: v for k, v in goldens.items() if k != "host"},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +272,9 @@ def main() -> int:
     GOLDENS_PATH.write_text(json.dumps(goldens, indent=1, sort_keys=True)
                             + "\n")
     print(f"wrote {GOLDENS_PATH}", file=sys.stderr)
+    # The run cache keys on it: a changed value retires old entries.
+    print(f"ENGINE_FINGERPRINT = {engine_fingerprint(goldens)!r} "
+          f"(src/repro/experiments/runcache.py)")
     return 0
 
 

@@ -17,6 +17,9 @@ from repro.experiments import (
     table8,
 )
 
+from .engine_goldens import engine_fingerprint
+from .engine_goldens import load as load_goldens
+
 TINY = dict(steps=12, scale=0.4)
 
 
@@ -35,23 +38,49 @@ class TestRunCache:
                                       steps=8, scale=0.4)
         assert any(phase == "lcp" for phase, _op in stats)
 
-    def test_cache_hit_is_identical(self):
+    def test_cache_hit_is_identical(self, monkeypatch):
         first = runcache.census_stats("continuous", {"lcp": 6}, "jam",
                                       steps=8, scale=0.4)
+        monkeypatch.setattr(runcache, "build", None)  # a miss would fail
         second = runcache.census_stats("continuous", {"lcp": 6}, "jam",
                                        steps=8, scale=0.4)
-        assert first is second  # memory cache
+        assert second == first
+        assert second is not first  # each call owns its counters
 
     def test_disk_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        runcache._MEMORY_CACHE.clear()
+        runcache._JSON_CACHE.clear()
         first = runcache.census_stats("continuous", None, "jam", steps=5,
                                       scale=0.4)
-        runcache._MEMORY_CACHE.clear()
+        runcache._JSON_CACHE.clear()
         second = runcache.census_stats("continuous", None, "jam", steps=5,
                                        scale=0.4)
         key = next(iter(second))
         assert second[key].total == first[key].total
+
+    def test_engine_fingerprint_matches_goldens(self):
+        fingerprint = engine_fingerprint(load_goldens())
+        assert runcache.ENGINE_FINGERPRINT == fingerprint, (
+            f"the engine goldens changed: set runcache.ENGINE_FINGERPRINT "
+            f"= {fingerprint!r}")
+
+    def test_entries_miss_under_another_fingerprint(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        builds = []
+
+        def build(*args, **kwargs):
+            builds.append(args[0])
+            return real_build(*args, **kwargs)
+        real_build = runcache.build
+        monkeypatch.setattr(runcache, "build", build)
+        for fingerprint in ("a" * 16, "a" * 16, "b" * 16):
+            monkeypatch.setattr(runcache, "ENGINE_FINGERPRINT", fingerprint)
+            runcache._JSON_CACHE.clear()  # answer from the files
+            runcache.census_stats("continuous", None, "jam", steps=2,
+                                  scale=0.4)
+        assert builds == ["continuous", "continuous"]
+        assert len(list(tmp_path.glob("census_*.json"))) == 2
 
     def test_memo_run_collects_memo_stats(self):
         stats = runcache.census_stats("continuous", {"lcp": 4}, "rn",

@@ -213,17 +213,27 @@ class TestSchemaV2BackCompat:
         assert (skipped, invalid) == (0, 0), messages
 
     def test_serve_kinds_are_v2(self):
-        from repro.obs.schema import EVENT_KINDS, V2_KINDS
+        from repro.obs.schema import EVENT_KINDS, KINDS_SINCE
 
-        assert set(V2_KINDS) <= set(EVENT_KINDS)
-        assert all(kind.startswith("serve.") for kind in V2_KINDS)
+        v2_kinds = KINDS_SINCE[2]
+        assert set(v2_kinds) <= set(EVENT_KINDS)
+        assert all(kind.startswith("serve.") for kind in v2_kinds)
 
     def test_resilience_kinds_are_v3(self):
-        from repro.obs.schema import EVENT_KINDS, V2_KINDS, V3_KINDS
+        from repro.obs.schema import EVENT_KINDS, KINDS_SINCE
 
-        assert set(V3_KINDS) <= set(EVENT_KINDS)
-        assert not set(V3_KINDS) & set(V2_KINDS)
-        assert all(kind.startswith("serve.") for kind in V3_KINDS)
+        v2_kinds, v3_kinds = KINDS_SINCE[2], KINDS_SINCE[3]
+        assert set(v3_kinds) <= set(EVENT_KINDS)
+        assert not set(v3_kinds) & set(v2_kinds)
+        assert all(kind.startswith("serve.") for kind in v3_kinds)
+
+    def test_every_kind_has_one_introducing_version(self):
+        from repro.obs.schema import (EVENT_KINDS, KINDS_SINCE,
+                                      SUPPORTED_SCHEMA_VERSIONS)
+
+        listed = [kind for kinds in KINDS_SINCE.values() for kind in kinds]
+        assert sorted(listed) == sorted(EVENT_KINDS)
+        assert set(KINDS_SINCE) <= set(SUPPORTED_SCHEMA_VERSIONS)
 
     def test_serve_recover_event_validates(self):
         good = {"kind": "serve.recover", "session": "s1", "rung": 1,

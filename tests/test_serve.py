@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.obs import NullSink, Tracer, validate_events
+from repro.physics import WorldBatch
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -679,6 +680,60 @@ class TestFleetStepping:
             2 * fleet_stats["fleet_batches"]
         assert plain_stats["fleet_batches"] == 0
         assert plain_stats["fleet_sessions"] == 0
+
+    @pytest.mark.parametrize("restored", [{"lcp": 9}, {"lcp": 7}],
+                             ids=["same-register", "rewritten-register"])
+    def test_fleets_key_on_the_live_register(self, monkeypatch, restored):
+        # A restore with precisions rewrites the live register, which is
+        # what WorldBatch compares; the stats count only fleets that
+        # stepped as a WorldBatch.
+        fleet_steps = []
+        step = WorldBatch.step
+
+        def counted(batch):
+            fleet_steps.append(len(batch.worlds))
+            return step(batch)
+        monkeypatch.setattr(WorldBatch, "step", counted)
+
+        handle = _server(batch_window=0.2)
+        try:
+            with handle.connect() as client:
+                sessions = [client.create("continuous", scale=0.4, seed=5,
+                                          precision={"lcp": 9})
+                            for _ in range(2)]
+                snap = client.snapshot(sessions[1])
+                client.restore(sessions[1], snapshot=snap["snapshot"],
+                               precisions=restored)
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def _run(session):
+                try:
+                    with handle.connect() as client:
+                        barrier.wait(timeout=30.0)
+                        for _ in range(5):
+                            client.step(session, 1)
+                except Exception as exc:  # noqa: BLE001 - collected
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=_run, args=(session,))
+                       for session in sessions]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            with handle.connect() as client:
+                stats = client.stats()
+        finally:
+            handle.stop()
+        assert not errors
+        assert stats["fleet_batches"] == len(fleet_steps)
+        assert stats["fleet_sessions"] == sum(fleet_steps)
+        if restored == {"lcp": 7}:
+            assert stats["fleet_batches"] == 0
+        else:
+            assert stats["fleet_batches"] > 0
 
     def test_guarded_session_never_joins_a_fleet(self):
         handle = _server(batch_window=0.05, allow_chaos=True)

@@ -14,11 +14,13 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.physics import lcp
 from repro.robustness.checkpoint import capture_world, restore_world
 from repro.serve import (
     Client,
@@ -485,6 +487,115 @@ class TestServiceResilience:
                 assert "allow-chaos" in err.value.detail
         finally:
             handle.stop()
+
+
+class TestFleetFailures:
+    """A fleet step that fails answers and recovers every member as a
+    failed solo step does: the scheduler has one run path for both."""
+
+    @staticmethod
+    def _step_together(handle, sessions, steps=1):
+        """Step every session from its own client at once; returns each
+        session's response or :class:`ServeClientError`."""
+        barrier = threading.Barrier(len(sessions))
+        answers = {}
+
+        def _run(session):
+            with handle.connect() as client:
+                barrier.wait(timeout=30.0)
+                try:
+                    answers[session] = client.step(session, steps)
+                except ServeClientError as exc:
+                    answers[session] = exc
+
+        threads = [threading.Thread(target=_run, args=(session,))
+                   for session in sessions]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        return answers
+
+    def _drive(self, tmp_path, monkeypatch, fleet_step, fault, **create):
+        """Two sessions step 3 together, then once with ``fault(armed)``
+        called before the constraint solve, then once more after
+        ``armed`` is cleared."""
+        armed = threading.Event()
+        targets = set()  # ids of this test's body stores
+        widths = []
+        solve_worlds = lcp.solve_worlds
+
+        def solve(ctx, stores, rows_list, params):
+            # Worker threads orphaned by other tests may still be
+            # stepping their own worlds; leave those alone.
+            if armed.is_set() and id(stores[0]) in targets:
+                widths.append(len(stores))
+                fault(armed)
+            return solve_worlds(ctx, stores, rows_list, params)
+        monkeypatch.setattr(lcp, "solve_worlds", solve)
+
+        handle = _server(journal_dir=str(tmp_path / "j"), journal_every=1,
+                         batch_window=0.2, fleet_step=fleet_step)
+        try:
+            with handle.connect() as client:
+                sessions = [client.create("continuous", scale=0.4, seed=5,
+                                          **create) for _ in range(2)]
+            self._step_together(handle, sessions, 3)
+            targets.update(id(handle.frontend.manager.get(session)
+                              .world.bodies) for session in sessions)
+            armed.set()
+            failed = self._step_together(handle, sessions)
+            armed.clear()
+            after = self._step_together(handle, sessions)
+            with handle.connect() as client:
+                stats = client.stats()
+        finally:
+            handle.stop()
+        # One fleet task over both worlds, or one solo task per world.
+        assert sorted(widths) == ([2] if fleet_step else [1, 1])
+        assert stats["respawned_total"] == 2
+        for session in sessions:
+            assert after[session]["step"] == 4
+        return sessions, failed
+
+    @pytest.mark.parametrize("fleet_step", [True, False],
+                             ids=["fleet", "solo"])
+    def test_raising_step_degrades_and_respawns_each_member(
+            self, tmp_path, monkeypatch, fleet_step):
+        def crash(armed):
+            raise RuntimeError("solver fault")
+
+        sessions, failed = self._drive(tmp_path, monkeypatch, fleet_step,
+                                       crash)
+        for session in sessions:
+            error = failed[session]
+            assert isinstance(error, ServeClientError)
+            assert error.code == "session_degraded"
+            assert error.detail == (
+                "step failed (RuntimeError: solver fault); session "
+                "respawned at journaled step 3")
+            assert error.response["step"] == 3
+
+    @pytest.mark.parametrize("fleet_step", [True, False],
+                             ids=["fleet", "solo"])
+    def test_overrunning_step_answers_budget_exceeded(
+            self, tmp_path, monkeypatch, fleet_step):
+        def stall(armed):
+            # Wedge the worker until the faulty step is over.
+            deadline = time.perf_counter() + 5.0
+            while armed.is_set() and time.perf_counter() < deadline:
+                time.sleep(0.01)
+
+        sessions, failed = self._drive(tmp_path, monkeypatch, fleet_step,
+                                       stall, step_budget=0.5)
+        for session in sessions:
+            error = failed[session]
+            assert isinstance(error, ServeClientError)
+            assert error.code == "budget_exceeded"
+            assert error.detail == (
+                f"step budget of 0.500s exceeded; session {session} "
+                f"respawned at step 3")
 
 
 class TestSigtermDrain:

@@ -13,7 +13,8 @@ import pytest
 from repro.experiments.table1 import PRESET_PRECISIONS
 from repro.fp.census import CensusKernel
 from repro.fp.context import FPContext
-from repro.physics import BatchIncompatible, WorldBatch, fleet_ineligibility
+from repro.physics import (BatchIncompatible, Cloth, World, WorldBatch,
+                           fleet_ineligibility)
 from repro.physics import lcp, narrowphase
 from repro.workloads import SCENARIO_NAMES, build
 
@@ -141,6 +142,44 @@ class TestWorldBatch:
             fleet.step()
         for ours, theirs in zip(batched, sequential):
             assert _digest(ours) == _digest(theirs)
+
+    def test_mixed_gravity_batch_equals_sequential(self, monkeypatch):
+        # Gravity is applied per body (and per cloth), so members whose
+        # gravities differ each keep their own through the stacked kick.
+        gravities = [(0.0, -9.8, 0.0), (0.0, -3.7, 0.0),
+                     (1.5, -9.8, -0.5), (0.0, 0.0, 0.0)]
+
+        def mk(gravity):
+            world = World(FPContext({"narrow": 12, "lcp": 9},
+                                    census=False), gravity=gravity)
+            world.add_ground_plane()
+            # Every body starts in contact, so each member has rows.
+            world.add_sphere((0.0, 0.29, 0.0), 0.3, linvel=(0.2, 0.0, 0.0))
+            world.add_box((1.0, 0.29, 0.0), (0.3, 0.3, 0.3))
+            world.add_box((0.95, 0.78, 0.05), (0.2, 0.2, 0.2))
+            world.add_cloth(Cloth((-1.0, 1.5, -1.0), 4, 4, 0.2,
+                                  pinned=[(0, 0)]))
+            return world
+
+        sequential = [mk(g) for g in gravities]
+        batched = [mk(g) for g in gravities]
+        merged = []
+        solve_rows = lcp.solve_rows
+
+        def spy(ctx, vel, rows, params, pinned):
+            merged.append(len(pinned))
+            return solve_rows(ctx, vel, rows, params, pinned)
+        monkeypatch.setattr(lcp, "solve_rows", spy)
+
+        fleet = WorldBatch(batched)
+        for _ in range(25):
+            for world in sequential:
+                world.step()
+            fleet.step()
+            for ours, theirs in zip(batched, sequential):
+                assert _digest(ours) == _digest(theirs)
+        assert max(merged) == len(gravities), \
+            "the fleet never ran a merged solve over every member"
 
     def test_census_world_is_ineligible(self):
         world = _build_world("continuous", census=True)
