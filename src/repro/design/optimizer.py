@@ -90,7 +90,7 @@ class DesignResult:
         """Write ``DESIGN_<stamp>.json`` (collision-proof stamp)."""
         import os
 
-        from ..perf.bench import bench_stamp
+        from ..experiments.runcache import bench_stamp
 
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"DESIGN_{bench_stamp()}.json")

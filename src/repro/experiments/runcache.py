@@ -14,15 +14,21 @@ in-memory layer plus one JSON file per entry under the cache directory
 directory), so re-running a benchmark does not repeat hours of
 simulation.  Every key includes :data:`ENGINE_FINGERPRINT`, so entries
 computed by an engine whose output has since changed are never read.
+
+Artifacts written outside the cache (``BENCH_*.json``, ``DESIGN_*.json``)
+share its atomic writer, :func:`write_json_atomic`, and name themselves
+with :func:`bench_stamp`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -31,8 +37,8 @@ from ..fp.rounding import RoundingMode
 from ..memo.memo_table import MemoBank
 from ..workloads import build, default_steps
 
-__all__ = ["ENGINE_FINGERPRINT", "cache_dir", "cache_path", "census_stats",
-           "cached_json", "write_json_atomic", "StatsDict"]
+__all__ = ["ENGINE_FINGERPRINT", "bench_stamp", "cache_dir", "cache_path",
+           "census_stats", "cached_json", "write_json_atomic", "StatsDict"]
 
 StatsDict = Dict[Tuple[str, str], OpCounter]
 
@@ -68,6 +74,24 @@ def write_json_atomic(path, payload: dict) -> None:
         except OSError:
             pass
         raise
+
+
+#: Monotone per-process suffix so two payloads written in the same
+#: process never collide even within one wall-clock second.
+_STAMP_COUNTER = itertools.count(1)
+
+
+def bench_stamp() -> str:
+    """Collision-proof payload stamp: wall time + pid + sequence number.
+
+    ``time.strftime`` alone collides when two runs (CI matrix lanes, the
+    sharded bench's back-to-back topologies) land in the same second and
+    silently overwrite each other's ``BENCH_*.json``.  The stamp stays
+    sortable-by-time first, and keeps the ``BENCH_<stamp>[_serve].json``
+    naming scheme every baseline-comparison glob relies on.
+    """
+    return (f"{time.strftime('%Y%m%d_%H%M%S')}"
+            f"_p{os.getpid()}n{next(_STAMP_COUNTER)}")
 
 
 def cache_dir() -> Path:

@@ -12,7 +12,10 @@ Hook surface:
 * ``World.step()`` calls ``begin_step`` / ``phase_done`` / ``end_step``;
 * ``PrecisionController.observe()`` calls ``controller_event``;
 * ``IncidentLog.record()`` calls ``incident``;
-* ``SweepRunner.run()`` calls ``sweep_result`` and ``sweep_metrics``.
+* ``SweepRunner.run()`` calls ``sweep_result`` and ``sweep_metrics``;
+* the serve layer calls the ``serve_*`` hooks.  Its front ends always
+  hold a tracer (a metrics-only one when nobody traces them), so these
+  hooks are its only accounting path.
 """
 
 from __future__ import annotations

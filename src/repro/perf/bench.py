@@ -17,7 +17,6 @@ accuracy for sweep time.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import platform
@@ -29,32 +28,15 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..experiments.runcache import write_json_atomic
+from ..experiments.runcache import bench_stamp, write_json_atomic
 from ..experiments.table1 import PRESET_PRECISIONS
 from ..fp.context import FPContext
 from ..fp.rounding import RoundingMode, fused_binop, reduce_array_fast
 from ..workloads import SCENARIO_NAMES, build
 from .sweep import SweepJob, SweepOutcome, SweepRunner
 
-__all__ = ["BenchProtocol", "QUICK_SCENARIOS", "bench_stamp", "run_bench",
+__all__ = ["BenchProtocol", "QUICK_SCENARIOS", "run_bench",
            "render_summary"]
-
-#: Monotone per-process suffix so two payloads written in the same
-#: process never collide even within one wall-clock second.
-_STAMP_COUNTER = itertools.count(1)
-
-
-def bench_stamp() -> str:
-    """Collision-proof payload stamp: wall time + pid + sequence number.
-
-    ``time.strftime`` alone collides when two runs (CI matrix lanes, the
-    sharded bench's back-to-back topologies) land in the same second and
-    silently overwrite each other's ``BENCH_*.json``.  The stamp stays
-    sortable-by-time first, and keeps the ``BENCH_<stamp>[_serve].json``
-    naming scheme every baseline-comparison glob relies on.
-    """
-    return (f"{time.strftime('%Y%m%d_%H%M%S')}"
-            f"_p{os.getpid()}n{next(_STAMP_COUNTER)}")
 
 #: Scenario subset for ``--quick`` (CI smoke); always includes the
 #: paper's hardest mixed workload.

@@ -75,8 +75,13 @@ def capture_world(world) -> WorldCheckpoint:
 
 
 def restore_world(world, checkpoint: WorldCheckpoint) -> None:
-    """Rewind ``world`` to ``checkpoint``, discarding later records."""
+    """Rewind ``world`` to ``checkpoint``, discarding later records.
+
+    The capture includes the virtual world row, which a freshly built
+    world may not have materialized yet, so its capacity comes first.
+    """
     bodies = world.bodies
+    bodies.ensure_world_row()
     n = len(checkpoint.body_state["pos"])
     for name, data in checkpoint.body_state.items():
         getattr(bodies, name)[:n] = data

@@ -12,12 +12,14 @@ bound.  Three independent limits, each mapping to one wire error code:
   never queued: the client owns the retry policy (backpressure, not
   buffering).
 * **Step budgets** (``budget_exceeded``) — a step request that exceeds
-  its wall budget marks the session evicted; the worker thread finishes
-  in the background but the session is gone from the table, so a
-  runaway world cannot absorb the worker pool forever.
+  its wall budget retires its session (respawned from its journal
+  mark, or evicted with reason ``budget``); the worker thread stops at
+  the next step boundary, so a runaway world cannot absorb the worker
+  pool.
 
-Rejections are counted per reason in the metrics registry so a
-dashboard can tell "clients are too eager" from "worlds are too slow".
+Rejections are counted per reason in the metrics registry (the front
+end's, or a private one) so a dashboard can tell "clients are too
+eager" from "worlds are too slow".
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..obs.metrics import MetricsRegistry
 from .protocol import ServiceError
 
 __all__ = ["AdmissionPolicy", "AdmissionController"]
@@ -47,13 +50,16 @@ class AdmissionController:
     """Tracks in-flight work and refuses what would exceed the bounds."""
 
     def __init__(self, policy: Optional[AdmissionPolicy] = None,
-                 registry=None) -> None:
+                 registry: Optional[MetricsRegistry] = None) -> None:
         self.policy = policy or AdmissionPolicy()
         self._pending: Dict[str, int] = {}
         self._depth = 0
         self.admitted_total = 0
         self.rejected_total = 0
+        registry = MetricsRegistry() if registry is None else registry
         self._registry = registry
+        self._m_admitted = registry.counter("serve.admitted")
+        self._g_depth = registry.gauge("serve.queue_depth")
 
     # ------------------------------------------------------------------
     @property
@@ -108,9 +114,8 @@ class AdmissionController:
         self._pending[session_id] = self._pending.get(session_id, 0) + 1
         self._depth += 1
         self.admitted_total += 1
-        if self._registry is not None:
-            self._registry.counter("serve.admitted").inc()
-            self._registry.gauge("serve.queue_depth").set(self._depth)
+        self._m_admitted.inc()
+        self._g_depth.set(self._depth)
 
     def release(self, session_id: str) -> None:
         count = self._pending.get(session_id, 0)
@@ -119,10 +124,8 @@ class AdmissionController:
         else:
             self._pending[session_id] = count - 1
         self._depth = max(0, self._depth - 1)
-        if self._registry is not None:
-            self._registry.gauge("serve.queue_depth").set(self._depth)
+        self._g_depth.set(self._depth)
 
     def _reject(self, reason: str) -> None:
         self.rejected_total += 1
-        if self._registry is not None:
-            self._registry.counter("serve.rejected", reason=reason).inc()
+        self._registry.counter("serve.rejected", reason=reason).inc()

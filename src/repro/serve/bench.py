@@ -47,9 +47,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
-from ..experiments.runcache import write_json_atomic
+from ..experiments.runcache import bench_stamp, write_json_atomic
 from ..obs.tracer import Tracer
-from ..perf.bench import bench_stamp
 from .client import (
     Client,
     ResilientClient,

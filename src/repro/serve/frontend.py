@@ -7,6 +7,13 @@ listen, frame, dispatch, count, record incidents, drain and stop, plus
 the one signal run loop behind ``repro serve``.  A subclass adds its
 ops, what it readies before the bind and releases after the stop, and
 the middle of its drain.
+
+A front end always holds an observer, the caller's
+:class:`~repro.obs.tracer.Tracer` or a metrics-only one of its own,
+and hands it to everything below it that counts: the observer's
+``serve_*`` hooks are the serve layer's one accounting path, so
+:attr:`FrameServer.registry` counts the same ``serve.*`` metrics
+whether or not a trace is written.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import signal
 import time
 from typing import List, Optional, Set, Tuple
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.tracer import Tracer
 from ..robustness.incidents import IncidentLog
 from ..workloads import UnknownScenarioError
 from .protocol import (
@@ -41,9 +48,10 @@ class ListenError(OSError):
 class FrameServer:
     """Listener, framing, dispatch, accounting, drain and stop.
 
-    ``config`` needs ``host``, ``port`` and ``unix_path``.  Each
-    connection carries a dict for the subclass's state (the gateway
-    pools its upstream shard sockets there).
+    ``config`` needs ``host``, ``port`` and ``unix_path``; ``observer``
+    is the tracer to stream to (``None`` counts without a stream).
+    Each connection carries a dict for the subclass's state (the
+    gateway pools its upstream shard sockets there).
     """
 
     #: ops still answered while draining; every other op gets the
@@ -54,12 +62,10 @@ class FrameServer:
     #: what the run loop says it does once a shutdown signal arrives
     drain_banner = "draining"
 
-    def __init__(self, config, registry: Optional[MetricsRegistry] = None,
-                 observer=None) -> None:
+    def __init__(self, config, observer: Optional[Tracer] = None) -> None:
         self.config = config
-        self.registry = registry or (observer.registry if observer
-                                     is not None else MetricsRegistry())
-        self.observer = observer
+        self.observer = observer or Tracer()
+        self.registry = self.observer.registry
         self.incidents = IncidentLog()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.StreamWriter] = set()
@@ -160,10 +166,7 @@ class FrameServer:
             "completed": completed,
             "wall": round(time.perf_counter() - start, 6),
         }
-        if self.observer is not None:
-            self.observer.serve_drain(**summary)
-        else:
-            self.registry.counter("serve.drains").inc()
+        self.observer.serve_drain(**summary)
         await self.stop()
         return summary
 
@@ -272,15 +275,9 @@ class FrameServer:
             ok, error = False, "internal"
         wall = time.perf_counter() - start
         self.registry.histogram("serve.request.seconds").observe(wall)
-        # One count per request: an observer counts what it reports.
-        if self.observer is not None:
-            self.observer.serve_request(op or "invalid",
-                                        response.get("session",
-                                                     session_id),
-                                        ok, wall, error)
-        else:
-            self.registry.counter("serve.requests",
-                                  op=op or "invalid").inc()
+        self.observer.serve_request(op or "invalid",
+                                    response.get("session", session_id),
+                                    ok, wall, error)
         return response
 
     # ------------------------------------------------------------------

@@ -25,19 +25,22 @@ A request that exceeds its admission budget is abandoned — its future
 fails with ``budget_exceeded``.  When the session has a journal mark
 the scheduler *respawns* it (fresh world rewound to the last journaled
 checkpoint, digest-verified) so a single stuck step does not lose the
-session; otherwise it is evicted.  Either way the worker thread
-finishes the orphaned step in the background (Python cannot interrupt
-it), which transiently occupies one pool slot.
+session; otherwise it is evicted with reason ``budget`` (a step that
+raises is evicted with reason ``error``).  Python cannot interrupt the
+worker thread, but the retired session is no longer active, so the
+worker stops at its next step boundary and frees its pool slot.
 
 Durability rides the tick loop: after each batch barrier the scheduler
 journals every batched session that has advanced ``journal_every``
-steps since its last entry — checkpoint capture happens here on the
-event loop (the session is guaranteed idle at the barrier and captures
-are deep copies), while serialization and the disk append run on the
-journal store's writer thread, off the hot path.  Recovery-ladder
-events recorded by sessions on worker threads are drained here too and
-emitted as ``serve.recover`` trace events, keeping all observer calls
-on the loop thread.
+steps since its last entry through
+:meth:`~repro.serve.session.SessionManager.journal_session` —
+checkpoint capture happens here on the event loop (the session is
+guaranteed idle at the barrier and captures are deep copies), while
+serialization and the disk append run on the journal store's writer
+thread, off the hot path.  Recovery-ladder events recorded by sessions
+on worker threads are drained here too and reported through the
+observer's ``serve_recover`` hook, keeping all observer calls on the
+loop thread.
 """
 
 from __future__ import annotations
@@ -73,10 +76,16 @@ def _fleet_step_fn(fleet, sessions, steps: int):
     """Advance a fleet on one worker thread and describe its members.
 
     Bit-identical to per-session stepping, but each phase runs as one
-    stacked-array pass over every member world.
+    stacked-array pass over every member world.  Like
+    :meth:`~repro.serve.session.Session.step`, it stops at the next step
+    boundary once no member is active (the fleet overran its budget and
+    every member was respawned or evicted).
     """
     for _ in range(steps):
         fleet.step()
+        if all(session.state != "active" for session in sessions):
+            raise ServiceError("session_closed",
+                               "every session of the fleet is retired")
     results = []
     for session in sessions:
         session.fleet_step(steps)
@@ -101,10 +110,8 @@ class BatchScheduler:
     """Coalesces queued work into per-tick batches."""
 
     def __init__(self, manager, admission, workers: Optional[int] = None,
-                 batch_window: float = 0.002, observer=None,
-                 registry=None, journal=None,
-                 journal_every: int = 32, incidents=None,
-                 fleet_step: bool = True) -> None:
+                 batch_window: float = 0.002, journal_every: int = 32,
+                 incidents=None, fleet_step: bool = True) -> None:
         self.manager = manager
         self.admission = admission
         #: coalesce compatible same-tick step requests into one
@@ -114,10 +121,12 @@ class BatchScheduler:
         self.incidents = incidents
         self.workers = resolve_workers(workers)
         self.batch_window = batch_window
-        self.observer = observer
-        self.registry = registry
-        #: optional :class:`~repro.serve.resilience.JournalStore`
-        self.journal = journal
+        #: counts and reports through the session table's observer
+        self.observer = manager.observer
+        self._m_fleet_batches = self.observer.registry.counter(
+            "serve.fleet.batches")
+        self._m_fleet_sessions = self.observer.registry.counter(
+            "serve.fleet.sessions")
         #: steps a session may advance before its next journal entry
         self.journal_every = max(1, journal_every)
         self._queue: List[WorkItem] = []
@@ -271,14 +280,9 @@ class BatchScheduler:
         self.batches_dispatched += 1
         steps = sum(item.steps for item in batch)
         self.steps_dispatched += steps
-        if self.observer is not None:
-            self.observer.serve_batch(
-                batch=self.batches_dispatched, sessions=len(batch),
-                steps=steps, wall=wall)
-        elif self.registry is not None:
-            self.registry.counter("serve.batches").inc()
-            self.registry.counter("serve.steps").inc(steps)
-            self.registry.histogram("serve.batch.seconds").observe(wall)
+        self.observer.serve_batch(
+            batch=self.batches_dispatched, sessions=len(batch),
+            steps=steps, wall=wall)
         self._after_batch(batch)
 
     def _after_batch(self, batch: List[WorkItem]) -> None:
@@ -302,11 +306,7 @@ class BatchScheduler:
                 continue
             if session.steps_since_journal >= self.journal_every or \
                     session.last_journal is None:
-                checkpoint, step, state = session.capture_for_journal()
-                session.mark_journaled(checkpoint, step, state)
-                if self.journal is not None:
-                    self.journal.append_snapshot(session.id, checkpoint,
-                                                 step, state)
+                if self.manager.journal_session(session):
                     self.journal_writes += 1
 
     def _emit_recovery(self, event: dict) -> None:
@@ -315,13 +315,7 @@ class BatchScheduler:
             self.incidents.recovery(
                 event["step"], event["rung"], event["outcome"],
                 f"session {event['session']}: {event['reason']}")
-        if self.observer is not None:
-            self.observer.serve_recover(**event)
-        elif self.registry is not None:
-            self.registry.counter("serve.recoveries",
-                                  outcome=event["outcome"]).inc()
-            self.registry.histogram(
-                "serve.recovery.seconds").observe(event["wall"])
+        self.observer.serve_recover(**event)
 
     async def _run_group(self, group: List[WorkItem]) -> None:
         """Run one group on a worker thread and answer its futures.
@@ -358,17 +352,15 @@ class BatchScheduler:
             else:  # counted only once a WorldBatch has stepped
                 self.fleet_batches += 1
                 self.fleet_sessions += len(group)
-                if self.registry is not None:
-                    self.registry.counter("serve.fleet.batches").inc()
-                    self.registry.counter(
-                        "serve.fleet.sessions").inc(len(group))
+                self._m_fleet_batches.inc()
+                self._m_fleet_sessions.inc(len(group))
             for item, answer in zip(group, result):
                 if not item.future.done():
                     item.future.set_result(answer)
         except asyncio.TimeoutError:
             reason = f"step budget of {budget:.3f}s exceeded"
             for item in group:
-                outcome = self._respawn_or_evict(item, reason)
+                outcome = self._respawn_or_evict(item, reason, "budget")
                 _fail(item, ServiceError(
                     "budget_exceeded",
                     f"{reason}; session {item.session.id} {outcome}"))
@@ -378,7 +370,7 @@ class BatchScheduler:
         except Exception as exc:  # noqa: BLE001 - marshal to the client
             detail = f"{type(exc).__name__}: {exc}"
             for item in group:
-                outcome = self._respawn_or_evict(item, detail)
+                outcome = self._respawn_or_evict(item, detail, "error")
                 if outcome.startswith("respawned"):
                     step = self.manager._sessions[
                         item.session.id].world.step_count
@@ -395,18 +387,20 @@ class BatchScheduler:
             for item in group:
                 self.admission.release(item.session.id)
 
-    def _respawn_or_evict(self, item: WorkItem, reason: str) -> str:
-        """Recover a failed/stuck session from its journal, or evict.
+    def _respawn_or_evict(self, item: WorkItem, reason: str,
+                          eviction: str) -> str:
+        """Recover a failed/stuck session from its journal, or evict it
+        with reason ``eviction`` (``budget`` or ``error``).
 
         Returns a short outcome string for the client-facing detail.
-        The respawn leaves the wedged world to its orphaned worker
-        thread and installs a digest-verified replacement rewound to
-        the last journal entry.
+        The respawn retires the wedged world, whose worker stops at its
+        next step boundary, and installs a digest-verified replacement
+        rewound to the last journal entry.
         """
         start = time.perf_counter()
         fresh = self.manager.respawn(item.session.id)
         if fresh is None:
-            self.manager.evict(item.session.id, "error")
+            self.manager.evict(item.session.id, eviction)
             return "evicted"
         self._emit_recovery({
             "session": item.session.id,

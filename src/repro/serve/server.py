@@ -8,9 +8,9 @@ over a worker pool), and an optional
 :class:`~repro.serve.resilience.JournalStore` (crash durability) —
 and speaks the :mod:`~repro.serve.protocol` over TCP or a UNIX socket
 through the shared :class:`~repro.serve.frontend.FrameServer`.  Every
-request is counted through :mod:`repro.obs.metrics` and, when a tracer
-is attached, streamed as schema-v6 ``serve.*`` events alongside the
-ordinary step telemetry.
+request, batch, eviction and recovery is counted through the front
+end's observer and, when that observer is a caller's tracer, streamed
+as schema-v6 ``serve.*`` events alongside the ordinary step telemetry.
 
 Ops that touch a session's world (``step``, ``snapshot``, ``restore``)
 are serialized through the scheduler so they always observe a step
@@ -43,7 +43,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .admission import AdmissionController, AdmissionPolicy
 from .frontend import FrameServer
 from .protocol import (
@@ -101,17 +100,15 @@ class SimulationService(FrameServer):
     kind = "service"
 
     def __init__(self, config: Optional[ServiceConfig] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  observer=None) -> None:
-        super().__init__(config or ServiceConfig(), registry, observer)
+        super().__init__(config or ServiceConfig(), observer)
         self.journal = (JournalStore(self.config.journal_dir,
                                      on_error=self._journal_failed)
                         if self.config.journal_dir else None)
         #: the event loop serving requests, set by :meth:`_open`
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.manager = SessionManager(self.config.max_sessions,
-                                      registry=self.registry,
-                                      observer=observer,
+                                      observer=self.observer,
                                       journal=self.journal)
         self.admission = AdmissionController(
             AdmissionPolicy(
@@ -124,8 +121,7 @@ class SimulationService(FrameServer):
             registry=self.registry)
         self.scheduler = BatchScheduler(
             self.manager, self.admission, workers=self.config.workers,
-            batch_window=self.config.batch_window, observer=observer,
-            registry=self.registry, journal=self.journal,
+            batch_window=self.config.batch_window,
             journal_every=self.config.journal_every,
             incidents=self.incidents,
             fleet_step=self.config.fleet_step)
@@ -195,13 +191,8 @@ class SimulationService(FrameServer):
             timeout=self.config.drain_grace)
         journaled = 0
         for session in self.manager.sessions():
-            if session.state != "active":
-                continue
-            checkpoint, step, state = session.capture_for_journal()
-            session.mark_journaled(checkpoint, step, state)
-            if self.journal is not None:
-                self.journal.append_snapshot(session.id, checkpoint,
-                                             step, state)
+            if session.state == "active" and \
+                    self.manager.journal_session(session):
                 journaled += 1
         if self.journal is not None:
             self.journal.flush()
@@ -308,19 +299,16 @@ class SimulationService(FrameServer):
             def _restore() -> dict:
                 result = session.restore(frame.get("snapshot"), data,
                                          precisions)
-                # Re-journal before the reply: the previous journal
-                # entry describes a pre-restore trajectory, so a crash
-                # (or a rung-1 rollback) after the reply would otherwise
-                # resurrect state the client just rewound away.  This is
-                # also what makes a migrated session durable on its
-                # target shard from the first request.  The wait runs in
-                # the batch's worker thread, so the event loop, and with
-                # it which requests share the next tick, is not held up.
-                if self.journal is not None:
-                    checkpoint, step, state = session.capture_for_journal()
-                    session.mark_journaled(checkpoint, step, state)
-                    self.journal.append_snapshot(session.id, checkpoint,
-                                                 step, state)
+                # Re-journal before the reply: the previous mark
+                # describes a pre-restore trajectory, so a crash, a
+                # rung-1 rollback or a respawn after the reply would
+                # otherwise resurrect state the client just rewound
+                # away.  This is also what makes a migrated session
+                # durable on its target shard from the first request.
+                # The flush waits in the batch's worker thread, so the
+                # event loop, and with it which requests share the next
+                # tick, is not held up.
+                if self.manager.journal_session(session):
                     self.journal.flush()
                 return result
 
@@ -357,14 +345,9 @@ class SimulationService(FrameServer):
             wall = time.perf_counter() - start
             if cached:
                 self.design_cache_hits += 1
-            if self.observer is not None:
-                self.observer.serve_design(
-                    key, cached, True,
-                    payload["result"]["front_size"], wall)
-            else:
-                self.registry.counter(
-                    "serve.designs",
-                    source="cache" if cached else "search").inc()
+            self.observer.serve_design(key, cached, True,
+                                       payload["result"]["front_size"],
+                                       wall)
             return ok_response(frame, cached=cached, design=payload)
 
         cached = self._design_cache.get(key)
@@ -401,10 +384,8 @@ class SimulationService(FrameServer):
             if not future.cancelled():
                 with contextlib.suppress(BaseException):
                     future.exception()
-            if self.observer is not None:
-                self.observer.serve_design(
-                    key, False, False, 0,
-                    time.perf_counter() - start)
+            self.observer.serve_design(key, False, False, 0,
+                                       time.perf_counter() - start)
             raise
         finally:
             self._design_inflight.pop(key, None)

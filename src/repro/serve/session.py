@@ -22,10 +22,15 @@ response — instead of poisoning the batch or tearing down the
 connection.  These are rungs of the shared
 :class:`~repro.robustness.ladder.RecoveryLadder`, so a recovery buys
 the same cooldown as everywhere: the next ``5 × (rung + 1)`` steps.
-The :class:`SessionManager` pairs with a
-:class:`~repro.serve.resilience.JournalStore` so every session is
-reconstructible after a crash, and can *respawn* a session whose
-worker thread is stuck from its last journaled checkpoint.
+Every journal entry goes through :meth:`SessionManager.journal_session`,
+which marks the session's step boundary in memory as its rung-1
+rollback and respawn target and appends it to the manager's
+:class:`~repro.serve.resilience.JournalStore` when there is one: at
+create (with a store or guards), at batch barriers, after every
+restore and at drain.  So every session is reconstructible after a
+crash, and one whose worker thread is stuck can be *respawned* from
+its last mark; the retired session stops stepping at its next step
+boundary.
 
 Threading contract: the manager's table is only mutated from the
 service event loop; a session's world is only touched by one scheduler
@@ -45,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..fp.context import FPContext
+from ..obs.tracer import Tracer
 from ..robustness.checkpoint import (
     capture_world,
     deserialize_checkpoint,
@@ -262,23 +268,27 @@ class Session:
 
     # ------------------------------------------------------------------
     def step(self, steps: int = 1) -> dict:
-        """Advance ``steps`` timesteps; runs on a scheduler worker."""
+        """Advance ``steps`` timesteps; runs on a scheduler worker.
+
+        Raises ``session_closed`` at the first step boundary at which
+        the session is not active: a worker whose request overran its
+        budget stops there once the scheduler has retired the session.
+        """
+        self._require_active()
+        stepper = self.world if self.ladder is None else self.ladder
+        for _ in range(steps):
+            if self.guards is not None:
+                self._chaos_delay()
+            stepper.step()
+            self.steps_run += 1
+            self.steps_since_journal += 1
+            self._require_active()
+        return self.describe()
+
+    def _require_active(self) -> None:
         if self.state != "active":
             raise ServiceError("session_closed",
                                f"session {self.id} is {self.state}")
-        if self.guards is not None:
-            for _ in range(steps):
-                self._chaos_delay()
-                self.ladder.step()
-                self.steps_run += 1
-                self.steps_since_journal += 1
-        else:
-            stepper = self.world if self.ladder is None else self.ladder
-            for _ in range(steps):
-                stepper.step()
-            self.steps_run += steps
-            self.steps_since_journal += steps
-        return self.describe()
 
     def fleet_key(self) -> Optional[Tuple]:
         """Coalescing key for fleet-batched stepping (None = ineligible).
@@ -348,7 +358,6 @@ class Session:
         if self._last_journal is None:
             return failure
         checkpoint, journal_step, _ = self._last_journal
-        self.world.bodies.ensure_world_row()
         restore_world(self.world, checkpoint)
         self.ladder.recovered(1)
         self._event(journal_step, 1, "degraded", "", failure)
@@ -406,9 +415,7 @@ class Session:
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Capture the current step boundary as wire-ready bytes."""
-        if self.state != "active":
-            raise ServiceError("session_closed",
-                               f"session {self.id} is {self.state}")
+        self._require_active()
         blob = serialize_checkpoint(capture_world(self.world))
         self._snapshot_seq += 1
         snap_id = f"{self.id}.c{self._snapshot_seq}"
@@ -428,9 +435,7 @@ class Session:
                 data: Optional[bytes] = None,
                 precisions: Optional[Dict[str, int]] = None) -> dict:
         """Rewind to a held snapshot id, or to caller-supplied bytes."""
-        if self.state != "active":
-            raise ServiceError("session_closed",
-                               f"session {self.id} is {self.state}")
+        self._require_active()
         if data is None:
             if snapshot_id is None:
                 raise ServiceError("bad_request",
@@ -450,9 +455,6 @@ class Session:
             raise ServiceError(
                 "bad_request",
                 "snapshot does not match this session's scenario/scale")
-        # A freshly built world may not have materialized the virtual
-        # world row the capture included; guarantee the capacity first.
-        self.world.bodies.ensure_world_row()
         restore_world(self.world, checkpoint)
         if precisions:
             for phase, bits in precisions.items():
@@ -467,12 +469,13 @@ class Session:
 class SessionManager:
     """The session table: lifecycle, capacity, journals, recovery."""
 
-    def __init__(self, max_sessions: int = 32, registry=None,
-                 observer=None, journal=None) -> None:
+    def __init__(self, max_sessions: int = 32,
+                 observer: Optional[Tracer] = None,
+                 journal=None) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be >= 1")
         self.max_sessions = max_sessions
-        self.observer = observer
+        self.observer = observer or Tracer()
         #: optional :class:`~repro.serve.resilience.JournalStore`
         self.journal = journal
         self._sessions: Dict[str, Session] = {}
@@ -481,9 +484,7 @@ class SessionManager:
         self.evicted_total = 0
         self.respawned_total = 0
         self.recovered_total = 0
-        self._registry = registry
-        self._g_active = (registry.gauge("serve.sessions")
-                          if registry is not None else None)
+        self._g_active = self.observer.registry.gauge("serve.sessions")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -511,18 +512,30 @@ class SessionManager:
         self._sessions[session.id] = session
         self.created_total += 1
         self._track()
+        if self.journal is not None:
+            self.journal.open_session(
+                session.id, {"session": session.id,
+                             "config": config.to_dict()})
         # Seed the rollback/respawn substrate: guarded sessions always
-        # get an in-memory journal mark; a store makes it durable.
+        # get a mark; a store makes every session durable from create.
         if self.journal is not None or session.guards is not None:
-            checkpoint, step, state = session.capture_for_journal()
-            session.mark_journaled(checkpoint, step, state)
-            if self.journal is not None:
-                self.journal.open_session(
-                    session.id,
-                    {"session": session.id, "config": config.to_dict()})
-                self.journal.append_snapshot(session.id, checkpoint,
-                                             step, state)
+            self.journal_session(session)
         return session
+
+    def journal_session(self, session: Session) -> bool:
+        """Mark the session's current step boundary as its rung-1
+        rollback and respawn target, and append it to the store.
+
+        Runs where the session is idle: on the event loop at a batch
+        barrier, or on the worker that just ran its request.  Returns
+        whether an entry was appended (``False`` without a store).
+        """
+        checkpoint, step, state = session.capture_for_journal()
+        session.mark_journaled(checkpoint, step, state)
+        if self.journal is None:
+            return False
+        self.journal.append_snapshot(session.id, checkpoint, step, state)
+        return True
 
     def get(self, session_id: str) -> Session:
         session = self._sessions.get(session_id)
@@ -553,19 +566,19 @@ class SessionManager:
         session.close(state="evicted")
         self.evicted_total += 1
         self._track()
-        if self.observer is not None:
-            self.observer.serve_evict(session_id, reason,
-                                      session.world.step_count)
+        self.observer.serve_evict(session_id, reason,
+                                  session.world.step_count)
 
     def respawn(self, session_id: str) -> Optional[Session]:
         """Replace a wedged session with a fresh world rewound to its
         last journaled checkpoint.
 
         The stuck worker thread keeps the *old* world (Python cannot
-        interrupt it) and finishes into the void; the table entry now
-        points at a verified replacement.  Returns ``None`` when there
-        is nothing to respawn from (no journal mark, or the restored
-        state fails its digest check).
+        interrupt it), which is retired here, so the worker stops at
+        its next step boundary; the table entry now points at a
+        verified replacement.  Returns ``None`` when there is nothing
+        to respawn from (no journal mark, or the restored state fails
+        its digest check).
         """
         old = self._sessions.get(session_id)
         if old is None or old.last_journal is None:
@@ -573,7 +586,6 @@ class SessionManager:
         checkpoint, step, state = old.last_journal
         try:
             fresh = Session(session_id, old.config)
-            fresh.world.bodies.ensure_world_row()
             restore_world(fresh.world, checkpoint)
         except Exception:  # noqa: BLE001 - fall back to eviction
             return None
@@ -606,7 +618,6 @@ class SessionManager:
                 config = SessionConfig.from_dict(rec.config)
                 session = Session(rec.session_id, config)
                 if rec.checkpoint is not None:
-                    session.world.bodies.ensure_world_row()
                     restore_world(session.world, rec.checkpoint)
             except Exception as exc:  # noqa: BLE001 - reported per file
                 entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -651,5 +662,4 @@ class SessionManager:
         self._track()
 
     def _track(self) -> None:
-        if self._g_active is not None:
-            self._g_active.set(len(self._sessions))
+        self._g_active.set(len(self._sessions))

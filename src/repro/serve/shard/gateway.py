@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from ...obs.metrics import MetricsRegistry
 from ...robustness.checkpoint import serialize_checkpoint
 from ..client import ServerHandle, run_in_thread
 from ..frontend import FrameServer
@@ -148,9 +147,8 @@ class ShardGateway(FrameServer):
     drain_banner = "draining shards"
 
     def __init__(self, config: Optional[GatewayConfig] = None,
-                 registry: Optional[MetricsRegistry] = None,
                  observer=None) -> None:
-        super().__init__(config or GatewayConfig(), registry, observer)
+        super().__init__(config or GatewayConfig(), observer)
         runtime = self.config.runtime_dir or tempfile.mkdtemp(
             prefix="repro-gateway-")
         self.runtime_dir = Path(runtime)
@@ -203,8 +201,7 @@ class ShardGateway(FrameServer):
                     continue
                 self.routes[sid] = shard.index
                 self._bump_seq(sid)
-                if self.observer is not None:
-                    self.observer.serve_route(sid, shard.index, "recover")
+                self.observer.serve_route(sid, shard.index, "recover")
 
     def _bump_seq(self, sid: str) -> None:
         if sid.startswith("g") and sid[1:].isdigit():
@@ -283,8 +280,7 @@ class ShardGateway(FrameServer):
                     # so the respawned shard does not resurrect a copy.
                     await loop.run_in_executor(
                         None, self._unlink_journal, shard, sid)
-                    if self.observer is not None:
-                        self.observer.serve_route(sid, target, "recover")
+                    self.observer.serve_route(sid, target, "recover")
                 else:
                     self.routes.pop(sid, None)
                     self.session_config.pop(sid, None)
@@ -426,8 +422,7 @@ class ShardGateway(FrameServer):
             self.session_config[sid] = {
                 k: v for k, v in frame.items()
                 if k not in _CREATE_ENVELOPE}
-            if self.observer is not None:
-                self.observer.serve_route(sid, shard, "create")
+            self.observer.serve_route(sid, shard, "create")
         return response
 
     async def _forward_session_op(self, op: str, frame: dict,
@@ -566,8 +561,9 @@ class ShardGateway(FrameServer):
                 # The source copy is untouched; abandon the target copy.
                 await self._control_quiet(
                     target, {"op": "close", "session": sid})
-                self._observe_migration(sid, source, target, step,
-                                        False, start)
+                self.observer.serve_migrate(sid, source, target, step,
+                                            False,
+                                            time.perf_counter() - start)
                 raise ServiceError(
                     "internal",
                     f"migration digest mismatch for {sid} "
@@ -577,10 +573,9 @@ class ShardGateway(FrameServer):
             self.routes[sid] = target
             self.session_config.setdefault(sid, fields)
             self.migrations_total += 1
-            self._observe_migration(sid, source, target, step, True,
-                                    start)
-            if self.observer is not None:
-                self.observer.serve_route(sid, target, "migrate")
+            self.observer.serve_migrate(sid, source, target, step, True,
+                                        time.perf_counter() - start)
+            self.observer.serve_route(sid, target, "migrate")
             return {"session": sid, "source": source, "target": target,
                     "step": step, "digest": restored.get("digest"),
                     "moved": True,
@@ -588,17 +583,6 @@ class ShardGateway(FrameServer):
         finally:
             event.set()
             self._migrating.pop(sid, None)
-
-    def _observe_migration(self, sid: str, source: int, target: int,
-                           step: int, ok: bool, start: float) -> None:
-        if self.observer is not None:
-            self.observer.serve_migrate(
-                sid, source, target, step, ok,
-                time.perf_counter() - start)
-        else:
-            self.registry.counter(
-                "serve.migrations",
-                outcome="ok" if ok else "failed").inc()
 
     async def _quiesce(self, sid: str) -> None:
         """Wait out in-flight forwards for ``sid`` (new ones are already

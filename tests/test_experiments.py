@@ -89,6 +89,30 @@ class TestRunCache:
         assert lookups > 0
 
 
+class TestBenchStamp:
+    """Collision-proof bench filenames (parallel CI jobs, same second)."""
+
+    def test_stamps_are_unique_within_a_second(self):
+        stamps = {runcache.bench_stamp() for _ in range(50)}
+        assert len(stamps) == 50
+
+    def test_stamp_format_keeps_baseline_globs_working(self):
+        import fnmatch
+        import os
+        import re
+
+        stamp = runcache.bench_stamp()
+        # <date>_<time>_p<pid>n<counter> — sortable date prefix, pid +
+        # per-process counter suffix.
+        assert re.fullmatch(
+            rf"\d{{8}}_\d{{6}}_p{os.getpid()}n\d+", stamp)
+        assert fnmatch.fnmatch(f"BENCH_{stamp}.json", "BENCH_*.json")
+        assert fnmatch.fnmatch(f"BENCH_{stamp}_serve.json",
+                               "BENCH_*_serve.json")
+        # The perf gate's exclusion of serve payloads still holds.
+        assert not f"BENCH_{stamp}.json".endswith("_serve.json")
+
+
 class TestWorkloadAssembly:
     def test_shapes(self, tiny_workloads):
         for scenario, phases in tiny_workloads.items():

@@ -251,34 +251,6 @@ class TestBench:
         assert "aggregate:" in out and "2/2 seeds finite" in out
 
 
-class TestBenchStamp:
-    """Collision-proof bench filenames (parallel CI jobs, same second)."""
-
-    def test_stamps_are_unique_within_a_second(self):
-        from repro.perf.bench import bench_stamp
-
-        stamps = {bench_stamp() for _ in range(50)}
-        assert len(stamps) == 50
-
-    def test_stamp_format_keeps_baseline_globs_working(self):
-        import fnmatch
-        import os
-        import re
-
-        from repro.perf.bench import bench_stamp
-
-        stamp = bench_stamp()
-        # <date>_<time>_p<pid>n<counter> — sortable date prefix, pid +
-        # per-process counter suffix.
-        assert re.fullmatch(
-            rf"\d{{8}}_\d{{6}}_p{os.getpid()}n\d+", stamp)
-        assert fnmatch.fnmatch(f"BENCH_{stamp}.json", "BENCH_*.json")
-        assert fnmatch.fnmatch(f"BENCH_{stamp}_serve.json",
-                               "BENCH_*_serve.json")
-        # The perf gate's exclusion of serve payloads still holds.
-        assert not f"BENCH_{stamp}.json".endswith("_serve.json")
-
-
 class TestBaselineSpeedupGuards:
     """Speedups against a degenerate baseline must be null, not inf."""
 

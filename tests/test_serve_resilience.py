@@ -2,9 +2,10 @@
 
 Covers the journal framing + rotation, digest-verified restart
 recovery, the server-side recovery ladder (rung 0 retry, rung 1
-rollback/respawn, rung 2 quarantine), graceful drain (in-process and
-via SIGTERM on a real subprocess), the typed client errors, and the
-retrying/reconnecting ``ResilientClient``.
+rollback/respawn, rung 2 quarantine) and the restore that moves its
+rung-1 target, graceful drain (in-process and via SIGTERM on a real
+subprocess), the typed client errors, and the retrying/reconnecting
+``ResilientClient``.
 """
 
 import json
@@ -355,10 +356,17 @@ class TestServiceResilience:
             with handle.connect() as client:
                 session = client.create("continuous", scale=0.4,
                                         step_budget=1e-4)
+                retired = handle.frontend.manager.get(session).world
                 with pytest.raises(ServeClientError) as err:
                     client.step(session, 200)
+                at_reply = retired.step_count
                 assert err.value.code == "budget_exceeded"
                 assert "respawned" in err.value.detail
+                # The respawn retired the old world: its worker stops at
+                # the next step boundary instead of running out the
+                # request on a world nobody serves.
+                time.sleep(0.5)
+                assert retired.step_count <= at_reply + 1
                 # The session survived — unlike the journal-less path.
                 response = client.request({"op": "stats"})
                 assert response["respawned_total"] == 1
@@ -487,6 +495,55 @@ class TestServiceResilience:
                 assert "allow-chaos" in err.value.detail
         finally:
             handle.stop()
+
+
+class TestRestoreMarksTheRecoveryTarget:
+    """A restore is what a later rung-1 rollback or respawn rewinds to,
+    with or without a journal directory."""
+
+    @pytest.mark.parametrize("recovery", ["rollback", "respawn"])
+    def test_recovery_lands_on_the_restored_state(self, monkeypatch,
+                                                  recovery):
+        armed = threading.Event()
+        targets = set()  # ids of the recovering session's body store
+        solve_worlds = lcp.solve_worlds
+
+        def solve(ctx, stores, rows_list, params):
+            if armed.is_set() and id(stores[0]) in targets:
+                if recovery == "rollback":  # the retry fails too
+                    raise RuntimeError("solver fault")
+                deadline = time.perf_counter() + 5.0
+                while armed.is_set() and time.perf_counter() < deadline:
+                    time.sleep(0.01)
+            return solve_worlds(ctx, stores, rows_list, params)
+        monkeypatch.setattr(lcp, "solve_worlds", solve)
+
+        handle = _server()  # no journal dir: the marks live in memory
+        try:
+            with handle.connect() as client:
+                donor = client.create("continuous", scale=0.4, seed=5)
+                client.step(donor, 6)
+                data = client.snapshot(donor)["data"]
+                options = ({"guarded": True} if recovery == "rollback"
+                           else {"step_budget": 0.5})
+                session = client.create("continuous", scale=0.4, seed=5,
+                                        **options)
+                client.step(session, 2)
+                restored = client.restore(session, data=data)
+                targets.add(id(handle.frontend.manager.get(session)
+                               .world.bodies))
+                armed.set()
+                with pytest.raises(ServeClientError) as err:
+                    client.step(session, 3)
+                armed.clear()
+                now = client.step(session, 0)
+        finally:
+            handle.stop()
+        assert err.value.code == ("session_degraded"
+                                  if recovery == "rollback"
+                                  else "budget_exceeded")
+        assert restored["step"] == 6
+        assert (now["step"], now["digest"]) == (6, restored["digest"])
 
 
 class TestFleetFailures:

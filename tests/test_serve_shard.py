@@ -5,7 +5,8 @@ remapping), gateway routing and error forwarding over real shard
 subprocesses, live migration under concurrent load (the migrated
 session's next steps must stay bit-identical to an unmigrated
 control), ``drain_shard``/``rebalance``, and journal-based recovery of
-a SIGKILLed shard onto the survivors.
+a SIGKILLed shard onto the survivors, and that both front ends count
+the same metrics with and without a trace.
 
 The gateway fixture is module-scoped: spawning shard subprocesses
 re-imports numpy per shard, so one 2-shard topology serves the whole
@@ -32,7 +33,7 @@ from repro.serve import (
 )
 from repro.serve.shard.ring import HashRing, stable_hash
 
-from .test_serve import FramingFaults
+from .test_serve import FramingFaults, _capture_tracer
 
 SCENARIO = "continuous"
 OPTS = dict(scale=0.3, seed=11)
@@ -409,3 +410,95 @@ class TestGatewayDrain:
                  for index in (0, 1)
                  for rec in recover_sessions(tmp_path / f"journal-{index}")}
         assert steps == {"g1": 3, "g2": 3, "g3": 3, "g4": 3}
+
+
+# ----------------------------------------------------------------------
+# One accounting path, traced or not
+# ----------------------------------------------------------------------
+def _service_script(client: Client) -> None:
+    """Ok ops, an unknown scenario, an unknown session and a budget
+    overrun with nothing to respawn from."""
+    sid = client.create(SCENARIO, **OPTS)
+    client.step(sid, 2)
+    snap = client.snapshot(sid)
+    client.restore(sid, snapshot=snap["snapshot"])
+    client.close_session(sid)
+    with pytest.raises(ServeClientError) as err:
+        client.create("no_such_scenario", scale=0.3)
+    assert err.value.code == "bad_request"
+    with pytest.raises(ServeClientError) as err:
+        client.step("s999", 1)
+    assert err.value.code == "unknown_session"
+    stuck = client.create(SCENARIO, step_budget=1e-4, **OPTS)
+    with pytest.raises(ServeClientError) as err:
+        client.step(stuck, 200)
+    assert err.value.code == "budget_exceeded"
+    assert err.value.detail.endswith(f"session {stuck} evicted")
+
+
+def _gateway_script(client: Client) -> None:
+    """A routed create, one live migration and an unknown session."""
+    sid = client.create(SCENARIO, **OPTS)
+    client.step(sid, 2)
+    moved = client.request({"op": "migrate", "session": sid})
+    assert moved["moved"] is True
+    client.step(sid, 1)
+    with pytest.raises(ServeClientError) as err:
+        client.step("g999999", 1)
+    assert err.value.code == "unknown_session"
+
+
+class TestOneAccountingPath:
+    """A front end counts through its observer whether or not the
+    caller traces it: an untraced run's registry names and counts what
+    a traced run's does."""
+
+    @staticmethod
+    def _run(topology, script, observer, tmp_path):
+        if topology == "service":
+            handle = start_in_thread(ServiceConfig(port=0),
+                                     observer=observer)
+        else:
+            handle = start_gateway_in_thread(
+                GatewayConfig(port=0, shards=2, runtime_dir=str(tmp_path)),
+                observer=observer)
+        try:
+            with handle.connect() as client:
+                script(client)
+        finally:
+            handle.stop()
+        return handle.frontend.registry.snapshot()
+
+    @pytest.mark.parametrize("topology,script", [
+        ("service", _service_script), ("gateway", _gateway_script)],
+        ids=["service", "gateway"])
+    def test_untraced_registry_counts_what_a_traced_one_does(
+            self, tmp_path, topology, script):
+        tracer, events = _capture_tracer()
+        traced = self._run(topology, script, tracer, tmp_path / "traced")
+        untraced = self._run(topology, script, None, tmp_path / "plain")
+        assert set(untraced) == set(traced)
+
+        def counts(snapshot):
+            # How many batches a tick coalesces depends on timing.
+            return {name: metric["value"]
+                    for name, metric in snapshot.items()
+                    if metric["type"] == "counter"
+                    and name != "serve.batches"}
+
+        assert counts(untraced) == counts(traced)
+        if topology == "service":
+            for snapshot in (traced, untraced):
+                assert snapshot["serve.evictions{reason=budget}"][
+                    "value"] == 1
+                assert snapshot["serve.rejections"]["value"] == 3
+            [evict] = [e for e in events if e["kind"] == "serve.evict"]
+            assert evict["reason"] == "budget"
+        else:
+            for snapshot in (traced, untraced):
+                assert snapshot["serve.routes{reason=create}"][
+                    "value"] == 1
+                assert snapshot["serve.routes{reason=migrate}"][
+                    "value"] == 1
+                assert snapshot["serve.migrations{outcome=ok}"][
+                    "value"] == 1
