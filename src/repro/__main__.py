@@ -56,19 +56,6 @@ import sys
 import time
 
 
-def _make_runner(workers):
-    """SweepRunner when parallelism was requested, else None (serial).
-
-    An explicit ``--workers`` wins; otherwise a set ``REPRO_WORKERS``
-    environment variable opts in.
-    """
-    from .perf.sweep import WORKERS_ENV, SweepRunner
-
-    if workers is None and not os.environ.get(WORKERS_ENV, "").strip():
-        return None
-    return SweepRunner(workers)
-
-
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="simulate one scenario")
     p.add_argument("scenario")
@@ -94,9 +81,6 @@ def _add_tune_parser(sub) -> None:
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None,
                    help="scenario-construction seed (default: built-in)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="probe candidate precisions in parallel "
-                        "(default: REPRO_WORKERS, else serial)")
 
 
 def _add_design_parser(sub) -> None:
@@ -405,7 +389,6 @@ def _cmd_tune(args) -> int:
     bits = minimum_precision(args.scenario, phases=(args.phase,),
                              mode=args.mode, steps=args.steps,
                              scale=args.scale, seed=args.seed,
-                             runner=_make_runner(args.workers),
                              stats=stats)
     print(f"{args.scenario} / {args.phase} / {args.mode}: "
           f"minimum believable precision = {bits} mantissa bits")
@@ -416,10 +399,14 @@ def _cmd_tune(args) -> int:
 def _cmd_health_sweep(args, precision) -> int:
     """Multi-seed fault campaign fanned over worker processes."""
     from .experiments.report import render_table
-    from .perf.sweep import SweepJob, SweepRunner
+    from .perf.sweep import WORKERS_ENV, SweepJob, SweepRunner
     from .robustness.recovery import campaign_summary
 
-    runner = _make_runner(args.workers) or SweepRunner(1)
+    # Serial unless --workers or REPRO_WORKERS asks for processes.
+    workers = args.workers
+    if workers is None and not os.environ.get(WORKERS_ENV, "").strip():
+        workers = 1
+    runner = SweepRunner(workers)
     seeds = list(range(args.seed, args.seed + args.seeds))
     jobs = [SweepJob(
         key=(args.scenario, seed), fn=campaign_summary,

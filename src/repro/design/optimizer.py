@@ -109,11 +109,10 @@ def run_search(
     query: DesignQuery,
     workers: Optional[int] = None,
     use_cache: bool = True,
-    runner: Optional[SweepRunner] = None,
 ) -> DesignResult:
     """Execute one canonicalized design query end to end."""
     space = query.space
-    runner = runner or SweepRunner(workers)
+    runner = SweepRunner(workers)
     stats = SearchStats()
     #: point key -> best-known eval (verified wins over estimated)
     archive: Dict[Tuple, DesignEval] = {}

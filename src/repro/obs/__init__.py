@@ -12,7 +12,7 @@ signals on one timeline:
 * :class:`Tracer` — the observer object the instrumented subsystems
   (``World.step`` phase boundaries, ``PrecisionController.observe``,
   the recovery ladder's :class:`~repro.robustness.IncidentLog`, and
-  :class:`~repro.perf.SweepRunner`) stream through;
+  the serve layer's front ends) stream through;
 * :mod:`~repro.obs.schema` — the versioned event schema + validator;
 * :func:`summarize_file` / :func:`render_summary` — the offline
   ``repro trace --summarize`` report.

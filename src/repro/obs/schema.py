@@ -10,9 +10,11 @@ carries the four signal families the paper's argument is built on:
 * the trivialization/memoization **census totals** (Table 4);
 * wall-clock **timing** per phase.
 
-Controller, detection/recovery, and sweep events share the stream so a
-single timeline answers "what did the controller do when the energy
-spiked at step 41, and what did recovery cost?".
+Controller and detection/recovery events share the stream so a single
+timeline answers "what did the controller do when the energy spiked at
+step 41, and what did recovery cost?".  Version 1's ``sweep_job`` and
+``sweep`` kinds still validate, so older streams that carry them stay
+valid, but nothing writes them any more.
 
 Version 2 adds the serving layer's ``serve.*`` kinds (per-request
 outcome, per-batch dispatch, session eviction) so a service trace and a
@@ -98,6 +100,7 @@ EVENT_KINDS: Dict[str, Dict[str, tuple]] = {
         "detail": (str,),
         "islands": (list,),
     },
+    # v1 sweep records: no longer written, kept so old streams validate
     "sweep_job": {
         "key": (list,),
         "wall": _NUM,

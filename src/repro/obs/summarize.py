@@ -69,7 +69,6 @@ def summarize(events: List[dict], skipped_lines: int = 0) -> dict:
     recovery = TallyCounter(
         (e.get("rung"), e.get("outcome")) for e in events
         if e.get("kind") == "recovery")
-    sweep_jobs = [e for e in events if e.get("kind") == "sweep_job"]
 
     return {
         "meta": meta,
@@ -97,9 +96,6 @@ def summarize(events: List[dict], skipped_lines: int = 0) -> dict:
             f"rung{rung}:{outcome}": count
             for (rung, outcome), count in sorted(recovery.items())
         },
-        "sweep_jobs": len(sweep_jobs),
-        "sweep_wall": round(sum(float(e.get("wall", 0.0))
-                                for e in sweep_jobs), 6),
     }
 
 
@@ -166,7 +162,4 @@ def render(summary: dict) -> str:
                          summary["recovery_actions"].items()) or "none"
         lines.append(f"  recovery: {summary['detections']} detection(s), "
                      f"actions: {recs}")
-    if summary["sweep_jobs"]:
-        lines.append(f"  sweep: {summary['sweep_jobs']} job(s), "
-                     f"{summary['sweep_wall']:.3f} s busy")
     return "\n".join(lines)

@@ -12,7 +12,6 @@ Hook surface:
 * ``World.step()`` calls ``begin_step`` / ``phase_done`` / ``end_step``;
 * ``PrecisionController.observe()`` calls ``controller_event``;
 * ``IncidentLog.record()`` calls ``incident``;
-* ``SweepRunner.run()`` calls ``sweep_result`` and ``sweep_metrics``;
 * the serve layer calls the ``serve_*`` hooks.  Its front ends always
   hold a tracer (a metrics-only one when nobody traces them), so these
   hooks are its only accounting path.
@@ -23,48 +22,33 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
+from ..memo import LOOKUP_PRECISION_LIMIT
 from .metrics import MetricsRegistry
 from .schema import SCHEMA_VERSION
 
-__all__ = ["Tracer", "LUT_PRECISION_LIMIT"]
+__all__ = ["Tracer"]
 
-#: Tuned precisions below this mantissa width are fully covered by the
-#: 2K-entry arithmetic LUT (operand fields of ``w`` bits cover widths
-#: < ``w + 1``; the paper's table uses w = 5 — Section 4.3.4).
-LUT_PRECISION_LIMIT = 6
+#: Relative per-step energy difference above which a step event is
+#: tagged ``violation`` (the paper's 10 % believability threshold).
+VIOLATION_THRESHOLD = 0.10
 
 #: Ops the LUT (and the memo tables) serve; div/sqrt never use either.
 _LUT_OPS = ("add", "sub", "mul")
 
 
 class Tracer:
-    """Streams step/controller/recovery/sweep events, keeps metrics.
+    """Streams step/controller/recovery/serve events, keeps metrics.
 
-    Parameters
-    ----------
-    sink:
-        Event target with ``write(dict)`` / ``close()`` — a
-        :class:`~repro.obs.trace.JsonlWriter`, a
-        :class:`~repro.obs.trace.NullSink`, or ``None`` for
-        metrics-only operation.
-    registry:
-        Metrics home; a fresh :class:`MetricsRegistry` when omitted.
-    threshold:
-        Relative energy-delta believability threshold used to tag step
-        events with ``violation`` (the paper's 10 %).
+    ``sink`` is the event target with ``write(dict)`` / ``close()`` — a
+    :class:`~repro.obs.trace.JsonlWriter`, a
+    :class:`~repro.obs.trace.NullSink`, or ``None`` for metrics-only
+    operation.  Metrics land in the tracer's own fresh
+    :class:`MetricsRegistry`, :attr:`registry`.
     """
 
-    def __init__(
-        self,
-        sink=None,
-        registry: Optional[MetricsRegistry] = None,
-        threshold: float = 0.10,
-        lut_precision_limit: int = LUT_PRECISION_LIMIT,
-    ) -> None:
+    def __init__(self, sink=None) -> None:
         self.sink = sink
-        self.registry = registry or MetricsRegistry()
-        self.threshold = threshold
-        self.lut_precision_limit = lut_precision_limit
+        self.registry = MetricsRegistry()
         self._step_start: Optional[float] = None
         self._phase_seconds: Dict[str, float] = {}
         self._census_prev: Dict[Tuple[str, str], Tuple[int, int, int]] = {}
@@ -95,8 +79,7 @@ class Tracer:
         event.update(fields)
         self.emit(event)
 
-    def attach(self, world=None, controller=None, log=None,
-               runner=None) -> "Tracer":
+    def attach(self, world=None, controller=None, log=None) -> "Tracer":
         """Install this tracer as the observer of the given components."""
         if world is not None:
             world.observer = self
@@ -104,8 +87,6 @@ class Tracer:
             controller.observer = self
         if log is not None:
             log.observer = self
-        if runner is not None:
-            runner.observer = self
         return self
 
     def close(self) -> None:
@@ -143,7 +124,7 @@ class Tracer:
             memo_hits += now[2] - before[2]
             phase, op = key
             if (op in _LUT_OPS
-                    and ctx.precision_for(phase) < self.lut_precision_limit):
+                    and ctx.precision_for(phase) < LOOKUP_PRECISION_LIMIT):
                 # Below the LUT coverage width every non-trivial add/mul
                 # is table-satisfied ("100% of operations sent to the
                 # look-up table will be satisfied").
@@ -163,7 +144,8 @@ class Tracer:
         self._step_start = None
         ctx = world.ctx
         delta_rel = world.monitor.relative_step_difference()
-        violation = delta_rel is not None and delta_rel > self.threshold
+        violation = (delta_rel is not None
+                     and delta_rel > VIOLATION_THRESHOLD)
         phases = {
             name: {"seconds": round(seconds, 6),
                    "bits": ctx.precision_for(name)}
@@ -364,31 +346,3 @@ class Tracer:
             source="cache" if cached else "search").inc()
         if not cached:
             self.registry.histogram("serve.design.seconds").observe(wall)
-
-    # ------------------------------------------------------------------
-    # Sweep hooks
-    # ------------------------------------------------------------------
-    def sweep_result(self, result) -> None:
-        key = [k if isinstance(k, (str, int, float, bool)) else str(k)
-               for k in result.key]
-        self.emit({
-            "kind": "sweep_job",
-            "key": key,
-            "wall": round(result.wall_time, 6),
-            "ops": int(result.ops),
-            "ok": result.ok,
-        })
-        self.registry.counter("sweep.jobs").inc()
-        if not result.ok:
-            self.registry.counter("sweep.failures").inc()
-
-    def sweep_metrics(self, metrics) -> None:
-        self.emit({
-            "kind": "sweep",
-            "jobs": metrics.jobs,
-            "workers": metrics.workers,
-            "elapsed": round(metrics.elapsed, 6),
-            "busy": round(metrics.busy_time, 6),
-            "ops": metrics.ops,
-        })
-        self.registry.counter("sweep.runs").inc()

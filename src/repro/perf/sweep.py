@@ -1,9 +1,10 @@
 """Parallel sweep execution over experiment grids.
 
-Every expensive consumer in this reproduction — the Table 1
-minimum-precision search, the Table 4 census runs, the scalability
-sweeps, the ``health`` fault campaigns — iterates an embarrassingly
-parallel (scenario × rounding-mode × precision) grid.  The
+Every expensive consumer in this reproduction — the Table 1 grid of
+minimum-precision searches, the Table 4 census runs, the scalability
+sweeps, the design search's evaluations, the ``health`` fault
+campaigns — iterates an embarrassingly parallel grid of independent
+cells; each cell itself runs serially.  The
 :class:`SweepRunner` fans such grids out over a
 :class:`concurrent.futures.ProcessPoolExecutor` with deterministic job
 keys and per-job wall-time/op-count metrics, falling back to in-process
@@ -20,7 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SweepJob",
@@ -143,14 +144,9 @@ class SweepRunner:
     :attr:`last_metrics`; a single instance can execute many sweeps.
     """
 
-    def __init__(self, workers: Optional[int] = None,
-                 observer=None) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.requested_workers = workers
         self.last_metrics: Optional[SweepMetrics] = None
-        #: optional :class:`~repro.obs.Tracer`; per-job wall/op metrics
-        #: and the aggregate sweep record stream through it in the same
-        #: JSONL schema the step telemetry uses.
-        self.observer = observer
 
     def resolved_workers(self, jobs: Optional[int] = None) -> int:
         return resolve_workers(self.requested_workers, jobs)
@@ -188,10 +184,6 @@ class SweepRunner:
             busy_time=sum(r.wall_time for r in results),
             ops=sum(r.ops for r in results),
         )
-        if self.observer is not None:
-            for result in results:
-                self.observer.sweep_result(result)
-            self.observer.sweep_metrics(self.last_metrics)
         if reraise:
             failed = [r for r in results if not r.ok]
             if failed:
@@ -201,13 +193,3 @@ class SweepRunner:
                     f"{len(failed)}/{len(results)} sweep jobs failed: "
                     f"{detail}")
         return results
-
-    def map(self, fn: Callable, arg_tuples: Sequence[Tuple],
-            keys: Optional[Sequence[Tuple]] = None) -> List[JobResult]:
-        """Convenience: one job per positional-args tuple."""
-        arg_tuples = list(arg_tuples)
-        if keys is None:
-            keys = [(i,) + tuple(args) for i, args in enumerate(arg_tuples)]
-        jobs = [SweepJob(key=tuple(key), fn=fn, args=tuple(args))
-                for key, args in zip(keys, arg_tuples)]
-        return self.run(jobs)

@@ -80,7 +80,6 @@ class GuardedSimulation:
         injector: Optional[FaultInjector] = None,
         controller=None,
         policy: Optional[RecoveryPolicy] = None,
-        log: Optional[IncidentLog] = None,
         observer=None,
     ) -> None:
         self.world = world
@@ -88,7 +87,7 @@ class GuardedSimulation:
         self.injector = injector
         self.controller = controller
         self.policy = policy or RecoveryPolicy()
-        self.log = log or IncidentLog()
+        self.log = IncidentLog()
         self.observer = observer
 
         if observer is not None:

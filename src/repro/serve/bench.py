@@ -40,6 +40,7 @@ snapshot-fidelity gates, all through the gateway socket.
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import threading
 import time
@@ -295,6 +296,7 @@ def _run_chaos_bench(config: ServeBenchConfig) -> dict:
             stats = client.stats()
     finally:
         new_handle.stop()
+        shutil.rmtree(journal_dir, ignore_errors=True)
 
     recover_events = [e for e in sink.events
                       if e.get("kind") == "serve.recover"]

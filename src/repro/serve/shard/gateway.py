@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
+import shutil
 import tempfile
 import time
 from dataclasses import dataclass
@@ -73,8 +74,9 @@ class GatewayConfig:
     #: serve the gateway itself on a UNIX socket instead of TCP
     unix_path: Optional[str] = None
     shards: int = 2
-    #: shard sockets + per-shard journal dirs live here; a temp dir is
-    #: created (and reused across gateway restarts only if passed in)
+    #: shard sockets + per-shard journal dirs live here; when unset the
+    #: gateway makes a temp dir and removes it at stop (only a dir
+    #: passed in survives for a restarted gateway to recover from)
     runtime_dir: Optional[str] = None
     #: per-shard session capacity (the gateway total is shards ×  this)
     max_sessions: int = 32
@@ -149,6 +151,9 @@ class ShardGateway(FrameServer):
     def __init__(self, config: Optional[GatewayConfig] = None,
                  observer=None) -> None:
         super().__init__(config or GatewayConfig(), observer)
+        #: a temp runtime dir this gateway made goes at stop: no later
+        #: gateway can find the journals in it
+        self._owns_runtime_dir = not self.config.runtime_dir
         runtime = self.config.runtime_dir or tempfile.mkdtemp(
             prefix="repro-gateway-")
         self.runtime_dir = Path(runtime)
@@ -230,6 +235,8 @@ class ShardGateway(FrameServer):
             link.close()
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.supervisor.stop_all)
+        if self._owns_runtime_dir:
+            shutil.rmtree(self.runtime_dir, ignore_errors=True)
 
     def _release_connection(self, connection: dict) -> None:
         for _, up_writer in connection.values():

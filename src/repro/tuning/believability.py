@@ -20,7 +20,6 @@ import numpy as np
 
 from ..fp.context import FPContext
 from ..fp.rounding import FULL_PRECISION, RoundingMode
-from ..perf.sweep import SweepJob, SweepOutcome, SweepRunner
 from ..workloads import build, default_steps
 
 __all__ = [
@@ -172,37 +171,6 @@ def _reference(scenario: str, steps: int, scale: float,
     return trace
 
 
-def _trace_worker(scenario, precision, mode, steps, scale, criteria,
-                  solver, seed) -> SweepOutcome:
-    """Module-level sweep job: one believability probe's energy trace."""
-    trace = energy_trace(scenario, precision, mode, steps, scale,
-                         criteria, solver=solver, seed=seed)
-    return SweepOutcome(trace, ops=trace.steps)
-
-
-def _speculative_candidates(lo: int, hi: int, depth: int):
-    """Midpoints of the next ``depth`` levels of the binary-search tree.
-
-    Evaluating them together lets a parallel search take ``depth``
-    serial-search decisions per round while probing exactly the widths
-    the serial search could visit — so the answer is identical even if
-    the believability predicate is not perfectly monotone.
-    """
-    intervals = [(lo, hi)]
-    candidates = []
-    for _ in range(depth):
-        nxt = []
-        for left, right in intervals:
-            if right - left <= 1:
-                continue
-            mid = (left + right) // 2
-            candidates.append(mid)
-            nxt.append((left, mid))
-            nxt.append((mid, right))
-        intervals = nxt
-    return candidates
-
-
 def minimum_precision(
     scenario: str,
     phases: Iterable[str] = ("lcp",),
@@ -211,10 +179,8 @@ def minimum_precision(
     scale: float = 1.0,
     criteria: Optional[BelievabilityCriteria] = None,
     fixed_precision: Optional[Mapping[str, int]] = None,
-    lowest: int = 1,
     solver=None,
     seed: Optional[int] = None,
-    runner: Optional[SweepRunner] = None,
     stats: Optional[Dict] = None,
 ) -> int:
     """Minimum mantissa bits for believable results (one Table 1 cell).
@@ -225,10 +191,11 @@ def minimum_precision(
     (parenthesised) Table 1 numbers.  Returns ``FULL_PRECISION`` when even
     23 - 1 bits break believability.
 
-    With a multi-worker ``runner`` the search speculatively probes
-    several candidate widths concurrently (the next levels of the
-    binary-search tree), returning precisions identical to the serial
-    path.
+    The search probes width 1, then each midpoint of the interval
+    between the widest failing and the narrowest believable width, one
+    :func:`energy_trace` per probe.  Callers that want several searches
+    at once spread whole searches over a
+    :class:`~repro.perf.sweep.SweepRunner` (Table 1, the design search).
 
     ``stats``, when given a dict, is filled with ``bits`` (the result)
     and ``probes`` (the distinct candidate widths simulated; the
@@ -239,53 +206,27 @@ def minimum_precision(
     mode = RoundingMode.parse(mode)
     phases = tuple(phases)
     reference = _reference(scenario, steps, scale, criteria, solver, seed)
+    probes = 0
 
-    known: Dict[int, bool] = {}
-
-    def _precision_map(bits: int) -> Dict[str, int]:
+    def believable(bits: int) -> bool:
+        nonlocal probes
+        probes += 1
         precision = dict(fixed_precision or {})
         for phase in phases:
             precision[phase] = bits
-        return precision
+        trace = energy_trace(scenario, precision, mode, steps, scale,
+                             criteria, solver=solver, seed=seed)
+        return is_believable(reference, trace, criteria)
 
-    def evaluate(batch) -> None:
-        batch = sorted(set(int(b) for b in batch) - set(known))
-        if not batch:
-            return
-        jobs = [SweepJob(
-            key=(scenario, phases, mode.value, bits),
-            fn=_trace_worker,
-            args=(scenario, _precision_map(bits), mode, steps, scale,
-                  criteria, solver, seed)) for bits in batch]
-        if runner is not None and len(jobs) > 1:
-            traces = [r.value for r in runner.run(jobs)]
-        else:
-            traces = [job.fn(*job.args).value for job in jobs]
-        for bits, trace in zip(batch, traces):
-            known[bits] = is_believable(reference, trace, criteria)
-
-    workers = runner.resolved_workers() if runner is not None else 1
-    depth = 1
-    while (1 << (depth + 1)) - 1 <= workers:
-        depth += 1
-
-    def _done(bits: int) -> int:
-        if stats is not None:
-            stats.update(bits=bits, probes=len(known))
-        return bits
-
-    lo, hi = lowest, FULL_PRECISION  # hi is always believable (identity)
-    evaluate([lo] + (_speculative_candidates(lo, hi, depth)
-                     if workers > 1 else []))
-    if known[lo]:
-        return _done(lo)
+    lo, hi = 1, FULL_PRECISION  # hi is always believable (identity)
+    if believable(lo):
+        hi = lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid not in known:
-            evaluate(_speculative_candidates(lo, hi, depth)
-                     if workers > 1 else [mid])
-        if known[mid]:
+        if believable(mid):
             hi = mid
         else:
             lo = mid
-    return _done(hi)
+    if stats is not None:
+        stats.update(bits=hi, probes=probes)
+    return hi

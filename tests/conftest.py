@@ -1,6 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,24 @@ from repro.physics import World
 
 # Keep experiment disk caching out of the repo during tests.
 os.environ.setdefault("REPRO_CACHE_DIR", "/tmp/repro_test_cache")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def leaves_nothing_behind(tmp_path_factory):
+    """Run the session against a temp dir of its own (``TMPDIR`` too, so
+    spawned shards inherit it); at the end, fail if a ``repro-*`` entry
+    is left there or a child process is still alive."""
+    private = str(tmp_path_factory.mktemp("tempdir"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tempfile, "tempdir", private)
+        patch.setenv("TMPDIR", private)
+        yield
+    leftovers = sorted(name for name in os.listdir(private)
+                       if name.startswith("repro-"))
+    children = multiprocessing.active_children()
+    if leftovers or children:
+        pytest.fail(f"left in the temp dir: {leftovers}; "
+                    f"child processes still alive: {children}")
 
 
 @pytest.fixture

@@ -412,22 +412,6 @@ class TestRecoveryEvents:
         assert any(e["kind"] == "step" for e in events)
 
 
-class TestSweepEvents:
-    def test_sweep_jobs_streamed(self):
-        from repro.perf.sweep import SweepJob, SweepRunner
-
-        captured = []
-        sink = NullSink()
-        sink.write = lambda e: captured.append(e)
-        runner = SweepRunner(1, observer=Tracer(sink))
-        runner.run([SweepJob(key=("a", 1), fn=len, args=("xyz",))])
-        kinds = [e["kind"] for e in captured]
-        assert kinds == ["sweep_job", "sweep"]
-        assert captured[0]["key"] == ["a", 1]
-        assert captured[0]["ok"] is True
-        assert captured[1]["jobs"] == 1
-
-
 class TestSummarize:
     def test_summarize_controlled_run(self, tmp_path):
         path = tmp_path / "t.jsonl"

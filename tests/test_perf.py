@@ -191,10 +191,6 @@ class TestSweepRunner:
         with pytest.raises(RuntimeError, match="bad"):
             SweepRunner(1).run(jobs)
 
-    def test_map_convenience(self):
-        results = SweepRunner(1).map(_square, [(2,), (3,)])
-        assert [r.value for r in results] == [4, 9]
-
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers(5) == 5

@@ -371,15 +371,18 @@ class TestColdSearchAccounting:
 
     @pytest.fixture
     def probes(self, monkeypatch):
-        """Every believability probe run, as (scenario, precision)."""
+        """Every believability probe run, as (scenario, precision).  A
+        probe passes a precision map; the full-precision reference run
+        passes ``None`` and is not a probe."""
         calls = []
-        original = believability._trace_worker
+        original = believability.energy_trace
 
-        def spy(scenario, precision, *args):
-            calls.append((scenario, tuple(sorted(precision.items()))))
-            return original(scenario, precision, *args)
+        def spy(scenario, precision=None, *args, **kwargs):
+            if precision is not None:
+                calls.append((scenario, tuple(sorted(precision.items()))))
+            return original(scenario, precision, *args, **kwargs)
 
-        monkeypatch.setattr(believability, "_trace_worker", spy)
+        monkeypatch.setattr(believability, "energy_trace", spy)
         return calls
 
     def _search(self, scenario, phase):
@@ -403,6 +406,15 @@ class TestColdSearchAccounting:
         assert len(set(widths)) == len(widths), "a width ran twice"
         assert stats["probes"] == len(widths) > 1
         assert bits in widths and 1 in widths
+        # Width 1, then the bisection's midpoints in order: a midpoint
+        # at or above the answer was believable (it became ``hi``), one
+        # below it was not.
+        midpoints, lo, hi = [1], 1, FULL_PRECISION
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            midpoints.append(mid)
+            lo, hi = (lo, mid) if mid >= bits else (mid, hi)
+        assert widths == midpoints
 
     def test_table1_probes_equal_simulated_widths(self, probes):
         result = compute_table1(scenarios=["continuous"], steps=self.STEPS,
