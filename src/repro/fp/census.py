@@ -1,15 +1,15 @@
-"""The census kernel: fused-pass ops that take the trivialization census.
+"""The census kernel: the bypass arithmetic, taking the census.
 
-:class:`CensusKernel` offers the methods a fused whole-array pass calls
-on :class:`~repro.fp.rounding.ReducedKernel` -- ``enter``, ``binop``,
-``binop_at``, the wave adds, ``div`` and ``sqrt`` -- with the semantics
-of :mod:`repro.fp.ops` (which stays the readable definition and the
-test oracle): round both operands (denormals, NaN and Inf pass
+:class:`CensusKernel` offers the methods of
+:class:`~repro.fp.rounding.ReducedKernel` -- ``apply``, ``enter``,
+``binop``, ``binop_at``, the wave adds, ``div`` and ``sqrt`` -- with the
+semantics of :mod:`repro.fp.ops` (which stays the readable definition
+and the test oracle): round both operands (denormals, NaN and Inf pass
 through), classify the lanes (:mod:`repro.fp.trivial`), compute, round
 the result, and let the trivial lanes bypass the FPU with the surviving
 operand at full precision.  Bypass lanes carry unreduced values, so
 :meth:`CensusKernel.enter` returns raw values and every op rounds its
-operands itself.
+operands itself: ``binop`` and ``apply`` are one method.
 
 Counts go to the context's :class:`~repro.fp.context.OpCounter` for the
 active ``(phase, op)``; the reduced encodings of non-trivial operand
@@ -33,7 +33,7 @@ import numpy as np
 
 from .ops import reduced_add, reduced_div, reduced_mul, reduced_sub
 from .rounding import (DEFAULT_GUARD_BITS, FULL_PRECISION,
-                       _fast_params, _reduce_bits_inplace)
+                       _reduce_bits_inplace, _round_params)
 
 __all__ = ["CensusKernel"]
 
@@ -92,6 +92,9 @@ class CensusKernel:
     def binop(self, ufunc, a, b) -> np.ndarray:
         """``a ufunc b`` (add, subtract or multiply) with the census."""
         return self._op(_OPS[ufunc], a, b)
+
+    #: Every op rounds its own operands, so raw ones need nothing more.
+    apply = binop
 
     def binop_at(self, ufunc, a, b, out: np.ndarray) -> np.ndarray:
         """Like :meth:`binop` but into ``out`` (which may alias ``a``)."""
@@ -161,7 +164,8 @@ class CensusKernel:
         raw = np.empty((2,) + shape, dtype=np.float32)
         raw[0] = a
         if op == "sub":
-            np.negative(b, out=raw[1])
+            # raw[1, ...] is an array even when raw[1] is a 0-d scalar
+            np.negative(b, out=raw[1, ...])
         else:
             raw[1] = b
         raw = raw.reshape(2, -1)
@@ -186,7 +190,7 @@ class CensusKernel:
         bits = rbits.copy()
         params = None
         if precision != FULL_PRECISION:
-            params = _fast_params(precision, ctx.mode, DEFAULT_GUARD_BITS)
+            params = _round_params(precision, ctx.mode, DEFAULT_GUARD_BITS)
             _reduce_bits_inplace(bits.reshape(-1), ctx.mode, params)
         values = bits.view(np.float32)
         mag = np.bitwise_and(bits, _ABS)

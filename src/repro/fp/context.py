@@ -11,11 +11,12 @@ moves through its pipeline (``narrow`` → ``lcp`` → ``integrate``).
 The context also keeps the trivialization census per ``(phase, op)`` that
 Table 4 and the architectural model consume, and can optionally stream
 non-trivial operand pairs through :class:`~repro.memo.memo_table.MemoBank`
-to measure memoization hit rates.  Whole-array passes take their ops
-from :meth:`FPContext.kernel`: a :class:`~repro.fp.rounding.ReducedKernel`
-census-free, a :class:`~repro.fp.census.CensusKernel` under the census,
-so census and fault-injection runs execute the same passes as every
-other run.
+to measure memoization hit rates.  Every op runs on the kernel that
+:meth:`FPContext.kernel` returns: a
+:class:`~repro.fp.rounding.ReducedKernel` census-free, a
+:class:`~repro.fp.census.CensusKernel` under the census.  The context's
+own ops run on it, and so do the engine's whole-array passes, so census
+and fault-injection runs execute the same code as every other run.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .rounding import (
     FULL_PRECISION,
     ReducedKernel,
     RoundingMode,
-    fused_binop,
 )
 
 __all__ = ["OpCounter", "FPContext"]
@@ -99,15 +99,13 @@ class FPContext:
         jam_guard_bits: int = DEFAULT_GUARD_BITS,
     ) -> None:
         self.phase_precision: Dict[str, int] = dict(phase_precision or {})
-        self.mode = RoundingMode.parse(mode)
+        self.mode = mode
         self.memo = memo
         self.memo_budget = memo_budget
         #: configured cap, restored by :meth:`reset_stats` (the live
         #: :attr:`memo_budget` is drawn down as probes are spent)
         self._memo_budget_config = memo_budget
         self.census = census
-        #: jamming OR-window width (ablation knob; the paper uses 3).
-        #: Applies on the census-free fast path.
         self.jam_guard_bits = jam_guard_bits
         self.phase: str = "other"
         self._stats: Dict[Tuple[str, str], OpCounter] = {}
@@ -117,9 +115,43 @@ class FPContext:
         #: leading axis of the ops' results
         self.memo_items: Optional[np.ndarray] = None
         self._census = CensusKernel(self)
-        #: optional :class:`~repro.robustness.FaultInjector`; when set,
-        #: every op result passes through it (soft-error campaigns).
         self.injector = None
+
+    # ------------------------------------------------------------------
+    # What the census-free kernels are built from.  Setting any of these
+    # drops the kernels built so far; the phase precision keys the rest.
+    # ------------------------------------------------------------------
+    @property
+    def mode(self) -> RoundingMode:
+        """Rounding mode of every reduced op."""
+        return self._mode
+
+    @mode.setter
+    def mode(self, value: Union[str, RoundingMode]) -> None:
+        self._mode = RoundingMode.parse(value)
+        self._kernels: Dict[int, ReducedKernel] = {}
+
+    @property
+    def jam_guard_bits(self) -> int:
+        """Jamming OR-window width of the census-free ops (ablation
+        knob; the paper, and the census kernel, use 3)."""
+        return self._jam_guard_bits
+
+    @jam_guard_bits.setter
+    def jam_guard_bits(self, value: int) -> None:
+        self._jam_guard_bits = value
+        self._kernels = {}
+
+    @property
+    def injector(self):
+        """Optional :class:`~repro.robustness.FaultInjector`; when set,
+        every op result passes through it (soft-error campaigns)."""
+        return self._injector
+
+    @injector.setter
+    def injector(self, value) -> None:
+        self._injector = value
+        self._kernels = {}
 
     # ------------------------------------------------------------------
     # Phase / precision plumbing
@@ -247,62 +279,45 @@ class FPContext:
     # ------------------------------------------------------------------
     def _deliver(self, op: str, result: np.ndarray) -> np.ndarray:
         """Hand an op result to the installed fault injector, if any."""
-        injector = self.injector
+        injector = self._injector
         if injector is not None:
             return injector.corrupt(self.phase, op, result, self.precision)
         return result
 
     def kernel(self):
-        """Op kernel for a whole-array pass in the current phase.
+        """Op kernel for the current phase: the one place the census
+        switch is read.
 
         Census-free, a :class:`~repro.fp.rounding.ReducedKernel` at the
-        phase's precision; under the census, the context's
-        :class:`~repro.fp.census.CensusKernel`.  Either hands every op
-        result to the fault injector.
+        phase's precision (the Table 1 error model), built once per
+        precision; under the census, the context's
+        :class:`~repro.fp.census.CensusKernel` (the HFPU's trivial
+        bypass, counted).  Either hands every op result to the fault
+        injector.
         """
         if self.census:
             return self._census
-        return ReducedKernel(
-            self.precision, self.mode, self.jam_guard_bits,
-            self._deliver if self.injector is not None else None)
-
-    def _fast_binop(self, ufunc, a, b) -> np.ndarray:
-        """Census-free path: pure round-op-round (Table 1 error model)."""
-        precision = self.precision
-        if precision == FULL_PRECISION:
-            return ufunc(
-                np.asarray(a, dtype=np.float32),
-                np.asarray(b, dtype=np.float32),
-            )
-        return fused_binop(ufunc, a, b, precision, self.mode,
-                           self.jam_guard_bits)
-
-    def axpy(self, a, x, y) -> np.ndarray:
-        """``a * x + y`` at the active precision: ``add(y, mul(a, x))``."""
-        return self.add(y, self.mul(a, x))
+        precision = self.phase_precision.get(self.phase, FULL_PRECISION)
+        kern = self._kernels.get(precision)
+        if kern is None:
+            kern = self._kernels[precision] = ReducedKernel(
+                precision, self._mode, self._jam_guard_bits,
+                None if self._injector is None else self._deliver)
+        return kern
 
     def add(self, a, b) -> np.ndarray:
-        if self.census:
-            return self._census.binop(np.add, a, b)
-        return self._deliver("add", self._fast_binop(np.add, a, b))
+        return self.kernel().apply(np.add, a, b)
 
     def sub(self, a, b) -> np.ndarray:
-        if self.census:
-            return self._census.binop(np.subtract, a, b)
-        return self._deliver("sub", self._fast_binop(np.subtract, a, b))
+        return self.kernel().apply(np.subtract, a, b)
 
     def mul(self, a, b) -> np.ndarray:
-        if self.census:
-            return self._census.binop(np.multiply, a, b)
-        return self._deliver("mul", self._fast_binop(np.multiply, a, b))
+        return self.kernel().apply(np.multiply, a, b)
 
     def div(self, a, b) -> np.ndarray:
-        if self.census:
-            return self._census.div(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            result = np.divide(np.asarray(a, dtype=np.float32),
-                               np.asarray(b, dtype=np.float32))
-        return self._deliver("div", result)
+        """Full-precision divide; the census screens it for trivial
+        cases."""
+        return self.kernel().div(a, b)
 
     def sqrt(self, a) -> np.ndarray:
         """Full-precision square root, censused in the divide class.
@@ -310,10 +325,7 @@ class FPContext:
         The paper's cores implement sqrt/div on the same long-latency
         non-pipelined unit; neither is precision-reduced.
         """
-        if self.census:
-            return self._census.sqrt(a)
-        with np.errstate(invalid="ignore"):
-            return np.sqrt(np.asarray(a, dtype=np.float32))
+        return self.kernel().sqrt(a)
 
 
 def _item_major(entries: list) -> list:

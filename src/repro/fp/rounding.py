@@ -39,8 +39,6 @@ __all__ = [
     "reduce_bits",
     "reduce_scalar",
     "reduce_array",
-    "reduce_array_fast",
-    "fused_binop",
     "ReducedKernel",
 ]
 
@@ -147,7 +145,7 @@ def reduce_array(
     normal = (exp_field != np.uint32(EXPONENT_MASK)) & (exp_field != 0)
 
     keep_mask, lsb_shift, lsb_bit, guard_shift, guard_mask, half_minus_1 = \
-        _fast_params(precision, mode, guard_bits)[:6]
+        _round_params(precision, mode, guard_bits)[:6]
     if mode is RoundingMode.TRUNCATION:
         rounded = bits & keep_mask
     elif mode is RoundingMode.NEAREST:
@@ -169,14 +167,18 @@ def reduce_array(
 
 
 # ----------------------------------------------------------------------
-# Fast path used by the census-free FPContext mode.
+# In-place uint32 rounding, shared by every reduced op.
+#
+# The op kernels below and the census kernel round whole arrays with
+# wrapping uint32 arithmetic, reusing one parameter tuple per
+# ``(precision, mode, guard_bits)`` and writing in place.
 # ----------------------------------------------------------------------
-_FAST_PARAMS = {}
+_ROUND_PARAMS = {}
 
 
-def _fast_params(precision: int, mode: RoundingMode, guard_bits: int):
+def _round_params(precision: int, mode: RoundingMode, guard_bits: int):
     key = (precision, mode, guard_bits)
-    params = _FAST_PARAMS.get(key)
+    params = _ROUND_PARAMS.get(key)
     if params is None:
         drop = MANTISSA_BITS - precision
         keep_mask = np.uint32(~((1 << drop) - 1) & 0xFFFFFFFF)
@@ -190,67 +192,28 @@ def _fast_params(precision: int, mode: RoundingMode, guard_bits: int):
         guard_mask = np.uint32((1 << guard_width) - 1)
         half_minus_1 = np.uint32((1 << (drop - 1)) - 1) if drop else np.uint32(
             0)
-        # Derived constants for the fused in-place kernel: the guard test
+        # Derived constants for the in-place rounding: the guard test
         # without the shift, and the carry trick turning "any guard bit
         # set" into the kept-LSB jam bit in pure integer arithmetic.
         guard_test = np.uint32(int(guard_mask) << int(guard_shift))
         jam_carry = np.uint32(int(lsb_bit) - 1) if lsb_bit else np.uint32(0)
         params = (keep_mask, lsb_shift, lsb_bit, guard_shift, guard_mask,
                   half_minus_1, guard_test, jam_carry)
-        _FAST_PARAMS[key] = params
+        _ROUND_PARAMS[key] = params
     return params
 
 
-def reduce_array_fast(
-    values: np.ndarray, precision: int, mode: RoundingMode,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-) -> np.ndarray:
-    """Mantissa reduction without special-value guarding.
-
-    Identical to :func:`reduce_array` for normal numbers and for zeros /
-    infinities; differs only for denormals (which get rounded like tiny
-    normals instead of passing through) and exotic NaN payloads.  Physics
-    state never legitimately contains those, and blow-up detection is
-    value-based, so the census-free context mode uses this ~2x cheaper
-    kernel.
-    """
-    arr = np.asarray(values, dtype=np.float32)
-    if precision == MANTISSA_BITS:
-        return arr
-    bits = np.ascontiguousarray(arr).view(np.uint32)
-    keep_mask, lsb_shift, lsb_bit, guard_shift, guard_mask, half_minus_1 = \
-        _fast_params(precision, mode, guard_bits)[:6]
-    if mode is RoundingMode.TRUNCATION:
-        out = bits & keep_mask
-    elif mode is RoundingMode.NEAREST:
-        lsb = (bits >> lsb_shift) & np.uint32(1)
-        out = (bits + lsb + half_minus_1) & keep_mask
-    else:  # JAMMING
-        kept = bits & keep_mask
-        if lsb_bit:
-            guards = (bits >> guard_shift) & guard_mask
-            out = kept | (lsb_bit * (guards != 0))
-        else:
-            out = kept
-    return out.view(np.float32).reshape(arr.shape)
-
-
-# ----------------------------------------------------------------------
-# Fused round-a / round-b / op / round-result kernels.
-#
-# ``FPContext._fast_binop`` used to make three ``reduce_array_fast``
-# calls per operation; on the census-free step loop that per-call Python
-# dispatch (asarray / param lookup / view / reshape, plus 4-6 uint32
-# temporaries each) dominated the wall clock.  The fused kernels below
-# make one parameter lookup and one ``view(np.uint32)`` round-trip per
-# array and round in place with wrapping uint32 arithmetic, producing
-# bit-identical results.
-# ----------------------------------------------------------------------
 def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
                          params, scratch: Optional[np.ndarray] = None
                          ) -> None:
-    """Mantissa-reduce a uint32 bit array in place (no special-value
-    guard, like :func:`reduce_array_fast`).
+    """Mantissa-reduce a uint32 bit array in place.
+
+    Identical to :func:`reduce_array` for normal numbers, zeros and
+    infinities.  There is no special-value guard: denormals are rounded
+    like tiny normals instead of passing through, and NaN payloads may
+    change (at precision 0 a NaN loses its quiet bit and becomes an
+    infinity, or a zero when rounding to nearest).  Physics state never
+    legitimately holds either.
 
     ``scratch``, a uint32 array shaped like ``bits``, receives the one
     temporary the nearest and jamming modes need; without it that
@@ -281,33 +244,27 @@ def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
             np.bitwise_and(bits, keep_mask, out=bits)
 
 
-def _reduced_copy(values, mode: RoundingMode, params) -> np.ndarray:
-    """Contiguous float32 copy of ``values``, mantissa-reduced in place."""
-    arr = np.array(values, dtype=np.float32, order="C")
-    # reshape(-1) is a view on these fresh contiguous arrays and keeps
-    # 0-d inputs working (ops on 0-d arrays return scalars, not arrays).
-    _reduce_bits_inplace(arr.reshape(-1).view(np.uint32), mode, params)
-    return arr
-
-
 _OP_NAMES = {np.add: "add", np.subtract: "sub", np.multiply: "mul"}
 
 
 class ReducedKernel:
-    """Reduced-domain op kernel for census-free whole-array passes.
+    """Census-free op kernel: the paper's Table 1 error model.
 
-    All three rounding modes are idempotent (``round(round(x)) ==
-    round(x)``), so a pipeline whose arrays are *already* mantissa-reduced
-    can skip the per-operand re-reduction that :func:`fused_binop` performs
-    and round only each new result — bit-identical output at a fraction of
-    the ufunc dispatch.  Callers are responsible for the invariant: every
-    operand passed to :meth:`binop` / :meth:`binop_at` / :meth:`add_waves`
-    must have come from :meth:`enter` or from a previous kernel result.
+    Every reduced op computes ``round(round(a) op round(b))``.
+    :meth:`apply` takes operands of any origin and rounds copies of
+    them (at full precision it rounds nothing); the
+    :class:`~repro.fp.FPContext` ops run through it.  Whole-array passes
+    use the rest of the interface: all three rounding modes are
+    idempotent (``round(round(x)) == round(x)``), so a pass whose arrays
+    are *already* mantissa-reduced skips the operand rounding and rounds
+    only each new result, with the same bits at a fraction of the ufunc
+    dispatch.  Such a pass is responsible for the invariant: every
+    operand passed to :meth:`binop` / :meth:`binop_at` /
+    :meth:`add_waves` must have come from :meth:`enter` or from a
+    previous kernel result.
 
-    At full precision every method degenerates to the plain ufunc, which
-    matches the census-free :class:`~repro.fp.FPContext` exactly.  The
-    census-taking :class:`~repro.fp.census.CensusKernel` offers the same
-    methods.  ``deliver``, when given, receives every op result as
+    The census-taking :class:`~repro.fp.census.CensusKernel` offers the
+    same methods.  ``deliver``, when given, receives every op result as
     ``deliver(op, result)`` (the context's fault-injection hook, which
     corrupts a contiguous float32 result in place).
     """
@@ -326,7 +283,7 @@ class ReducedKernel:
         self.mode = RoundingMode.parse(mode)
         self.guard_bits = guard_bits
         self.full = precision == MANTISSA_BITS
-        self._params = None if self.full else _fast_params(
+        self._params = None if self.full else _round_params(
             precision, self.mode, guard_bits)
         self._deliver = deliver
 
@@ -341,10 +298,27 @@ class ReducedKernel:
         """Reduced, contiguous float32 copy of ``values``."""
         return self._round(np.array(values, dtype=np.float32, order="C"))
 
+    def apply(self, ufunc, a, b) -> np.ndarray:
+        """``round(round(a) ufunc round(b))`` (add, subtract or multiply)
+        for operands of any origin; the inputs are never mutated."""
+        if self.full:
+            out = ufunc(np.asarray(a, dtype=np.float32),
+                        np.asarray(b, dtype=np.float32))
+        else:
+            ra, rb = self.enter(a), self.enter(b)
+            # Into ``ra`` when it can hold the result: no allocation, and
+            # 0-d operands give a 0-d array, not a scalar.
+            out = self._round(ufunc(ra, rb, out=ra) if ra.shape == rb.shape
+                              else ufunc(ra, rb))
+        if self._deliver is not None:
+            out = self._deliver(_OP_NAMES[ufunc], out)
+        return out
+
     def binop(self, ufunc, a, b) -> np.ndarray:
         """``round(a ufunc b)`` (add, subtract or multiply) for
         already-reduced operands."""
-        out = self._round(np.ascontiguousarray(ufunc(a, b)))
+        # asarray, not ascontiguousarray, which would make a 0-d result 1-d
+        out = self._round(np.asarray(ufunc(a, b), order="C"))
         if self._deliver is not None:
             out = self._deliver(_OP_NAMES[ufunc], out)
         return out
@@ -395,25 +369,3 @@ class ReducedKernel:
 
     def replay(self, charges) -> None:
         """Nothing to count again."""
-
-
-def fused_binop(
-    ufunc, a, b, precision: int, mode: RoundingMode,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-) -> np.ndarray:
-    """``round(round(a) ufunc round(b))`` in one pass.
-
-    Bit-identical to three :func:`reduce_array_fast` calls around
-    ``ufunc`` (the paper's pure round-operands / execute / round-result
-    error model), but with a single parameter lookup and in-place uint32
-    mask arithmetic.  The inputs are never mutated.
-    """
-    if precision == MANTISSA_BITS:
-        return ufunc(np.asarray(a, dtype=np.float32),
-                     np.asarray(b, dtype=np.float32))
-    params = _fast_params(precision, mode, guard_bits)
-    ra = _reduced_copy(a, mode, params)
-    rb = _reduced_copy(b, mode, params)
-    out = ufunc(ra, rb, out=ra) if ra.shape == rb.shape else ufunc(ra, rb)
-    _reduce_bits_inplace(out.reshape(-1).view(np.uint32), mode, params)
-    return out

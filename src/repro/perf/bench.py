@@ -1,9 +1,9 @@
 """``python -m repro bench`` — step-loop throughput harness.
 
 Times the census-free (pure round-op-round) and census step loops per
-scenario at the tuned preset precisions, plus a kernel microbenchmark
-comparing the fused round-a/round-b/op/round-result path against the
-legacy three-pass reduction it replaced.  Results land in a
+scenario at the tuned preset precisions, plus a kernel microbenchmark:
+the rate of census-free ``ctx.add(ctx.mul(a, b), c)`` pairs at a reduced
+precision.  Results land in a
 ``BENCH_<stamp>.json`` so the repo accumulates a perf trajectory;
 per-scenario speedups are reported against a recorded baseline
 (``results/BENCH_baseline.json`` by default — numbers are only
@@ -31,7 +31,6 @@ import numpy as np
 from ..experiments.runcache import bench_stamp, write_json_atomic
 from ..experiments.table1 import PRESET_PRECISIONS
 from ..fp.context import FPContext
-from ..fp.rounding import RoundingMode, fused_binop, reduce_array_fast
 from ..workloads import SCENARIO_NAMES, build
 from .sweep import SweepJob, SweepOutcome, SweepRunner
 
@@ -138,46 +137,26 @@ def _phase_breakdown(scenario: str, warmup: int, steps: int) -> dict:
     }
 
 
-def _legacy_binop(ufunc, a, b, precision, mode, guard_bits=3):
-    """The pre-fusion hot path: three separate reduction passes."""
-    ra = reduce_array_fast(a, precision, mode, guard_bits)
-    rb = reduce_array_fast(b, precision, mode, guard_bits)
-    return reduce_array_fast(ufunc(ra, rb), precision, mode, guard_bits)
-
-
 def _kernel_bench(protocol: BenchProtocol) -> Dict[str, float]:
-    """Fused vs legacy reduced binop pair (mul+add), plus fused axpy."""
+    """Census-free reduced binop pairs (mul then add) per second."""
     rng = np.random.default_rng(7)
     shape = tuple(protocol.kernel_shape)
     a = rng.standard_normal(shape).astype(np.float32)
     b = rng.standard_normal(shape).astype(np.float32)
     c = rng.standard_normal(shape).astype(np.float32)
-    mode = RoundingMode.parse(protocol.kernel_mode)
-    precision = protocol.kernel_precision
     iters = protocol.kernel_iters
 
-    ctx = FPContext({"lcp": precision}, mode=mode, census=False)
+    ctx = FPContext({"lcp": protocol.kernel_precision},
+                    mode=protocol.kernel_mode, census=False)
     ctx.phase = "lcp"
-
-    def _rate(fn) -> float:
-        for _ in range(max(2, iters // 10)):
-            fn()
-        start = time.perf_counter()
-        for _ in range(iters):
-            fn()
-        wall = time.perf_counter() - start
-        return round(iters / wall, 2) if wall else 0.0
-
-    fused = _rate(lambda: ctx.add(ctx.mul(a, b), c))
-    legacy = _rate(lambda: _legacy_binop(
-        np.add, _legacy_binop(np.multiply, a, b, precision, mode), c,
-        precision, mode))
-    axpy = _rate(lambda: ctx.axpy(a, b, c))
+    for _ in range(max(2, iters // 10)):
+        ctx.add(ctx.mul(a, b), c)
+    start = time.perf_counter()
+    for _ in range(iters):
+        ctx.add(ctx.mul(a, b), c)
+    wall = time.perf_counter() - start
     return {
-        "binop_pairs_per_sec": fused,
-        "legacy_binop_pairs_per_sec": legacy,
-        "axpy_per_sec": axpy,
-        "fused_speedup_vs_legacy": round(fused / legacy, 3) if legacy else 0.0,
+        "binop_pairs_per_sec": round(iters / wall, 2) if wall else 0.0,
         "elements": int(a.size),
         "iterations": iters,
     }
@@ -432,11 +411,7 @@ def render_summary(payload: dict) -> str:
         out += f"\nphases[{scenario}]: {parts}"
     kernel = payload.get("kernel")
     if kernel:
-        out += (
-            f"\nkernel: fused {kernel['binop_pairs_per_sec']:.0f} pairs/s"
-            f" vs legacy {kernel['legacy_binop_pairs_per_sec']:.0f}"
-            f" ({kernel['fused_speedup_vs_legacy']:.2f}x), axpy "
-            f"{kernel['axpy_per_sec']:.0f}/s")
+        out += f"\nkernel: {kernel['binop_pairs_per_sec']:.0f} pairs/s"
         if kernel.get("speedup_vs_baseline") is not None:
             out += (f", {kernel['speedup_vs_baseline']:.2f}x vs recorded"
                     f" baseline")

@@ -51,8 +51,6 @@ def fleet_ineligibility(world) -> Optional[str]:
         return "phase guards installed"
     if world.observer is not None:
         return "tracer attached"
-    if world.on_step is not None:
-        return "on_step hook installed"
     if world.solver.scheme != "jacobi":
         return f"solver scheme {world.solver.scheme!r}"
     if world.solver.warm_start:

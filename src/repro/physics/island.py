@@ -46,34 +46,23 @@ class UnionFind:
 def partition_islands(
     n_bodies: int,
     dynamic: np.ndarray,
-    edges,
-    edges_b: np.ndarray = None,
+    edges_a,
+    edges_b,
 ) -> np.ndarray:
     """Label each body with an island id; static bodies get -1.
 
-    Edges come from contacts and joints, either as two flat index arrays
-    (``edges`` = body_a side, ``edges_b`` = body_b side — the SoA form
-    the engine hot path feeds straight from the contact set) or, for
-    backward compatibility, as an iterable of ``(body_a, body_b)`` pairs
-    with ``edges_b`` omitted.  Indices outside ``[0, n_bodies)`` (the
-    virtual world body) are ignored, as are edges touching non-dynamic
-    bodies — a shared static support does not couple two piles.
+    Edge ``k`` of the contacts and joints joins bodies ``edges_a[k]``
+    and ``edges_b[k]`` (flat index arrays, as the contact set holds
+    them).  Indices outside ``[0, n_bodies)`` (the virtual world body)
+    are ignored, as are edges touching non-dynamic bodies — a shared
+    static support does not couple two piles.
 
     The prefilter and duplicate elimination are vectorized; island
     labels depend only on the connectivity partition, so deduplicating
     and reordering edges cannot change the result.
     """
-    if edges_b is None:
-        pair_list = list(edges)
-        if pair_list:
-            arr = np.asarray(pair_list, dtype=np.int64).reshape(-1, 2)
-            edges_a, edges_b = arr[:, 0], arr[:, 1]
-        else:
-            edges_a = edges_b = np.empty(0, dtype=np.int64)
-    else:
-        edges_a = np.asarray(edges, dtype=np.int64)
-        edges_b = np.asarray(edges_b, dtype=np.int64)
-
+    edges_a = np.asarray(edges_a, dtype=np.int64)
+    edges_b = np.asarray(edges_b, dtype=np.int64)
     dmask = np.asarray(dynamic, dtype=bool)
     in_range = ((edges_a >= 0) & (edges_a < n_bodies)
                 & (edges_b >= 0) & (edges_b < n_bodies))

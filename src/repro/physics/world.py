@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,8 +86,6 @@ class World:
         #: windowed so long-lived serve sessions don't leak memory, with
         #: a running max preserving the believability peak statistic
         self.penetration_series = BoundedSeries(track_max=True)
-        #: called after each step with (world, energy_record)
-        self.on_step: Optional[Callable] = None
         #: optional :class:`~repro.robustness.PhaseGuards`; when set,
         #: invariants are checked at every phase boundary of ``step()``
         self.guards = None
@@ -427,8 +425,6 @@ def step_worlds(worlds: Sequence[World]) -> None:
         world.step_count += 1
         if world.observer is not None:
             world.observer.end_step(world, record)
-        if world.on_step is not None:
-            world.on_step(world, record)
 
 
 def _stacked_bodies(worlds) -> Tuple[BodyStore, Sequence[World]]:

@@ -23,7 +23,7 @@ import contextlib
 import os
 import signal
 import time
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs.tracer import Tracer
 from ..robustness.incidents import IncidentLog
@@ -68,7 +68,8 @@ class FrameServer:
         self.registry = self.observer.registry
         self.incidents = IncidentLog()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.StreamWriter] = set()
+        #: each open connection's handler task and writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: tasks that must end before the drain work starts
         self._background: List[asyncio.Task] = []
         self._draining = False
@@ -116,11 +117,11 @@ class FrameServer:
         try:
             if self.config.unix_path:
                 self._server = await asyncio.start_unix_server(
-                    self._handle_connection, path=self.config.unix_path,
+                    self._accept, path=self.config.unix_path,
                     limit=MAX_FRAME_BYTES)
             else:
                 self._server = await asyncio.start_server(
-                    self._handle_connection, host=self.config.host,
+                    self._accept, host=self.config.host,
                     port=self.config.port, limit=MAX_FRAME_BYTES)
         except OSError as exc:
             reason = os.strerror(exc.errno) if exc.errno else str(exc)
@@ -174,8 +175,13 @@ class FrameServer:
         """Stop everything; safe on a front end that never started."""
         await self._stop_background()
         await self._close_listener()
-        for writer in list(self._connections):
+        # A handler still awaiting its request would be destroyed
+        # pending once the loop closes: end each one here.
+        handlers = dict(self._connections)
+        for task, writer in handlers.items():
             writer.close()
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
         await self._close()
 
     async def _close_listener(self) -> None:
@@ -202,9 +208,18 @@ class FrameServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        """Serve a new connection on a task of the front end's own,
+        which :meth:`stop` can cancel (asyncio 3.11 reports a handler
+        coroutine it started that ends cancelled as an error)."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer))
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        self._connections.add(writer)
         connection: dict = {}
         try:
             while True:
@@ -227,7 +242,6 @@ class FrameServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._connections.discard(writer)
             self._release_connection(connection)
             writer.close()
             try:

@@ -4,12 +4,22 @@ import numpy as np
 import pytest
 
 from repro.fp import FPContext, RoundingMode
-from repro.fp.rounding import FULL_PRECISION
+from repro.fp.census import CensusKernel
+from repro.fp.ops import reduced_add, reduced_div, reduced_mul, reduced_sub
+from repro.fp.rounding import FULL_PRECISION, ReducedKernel, reduce_array
 from repro.memo.memo_table import MemoBank
+
+UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+ORACLES = {"add": reduced_add, "sub": reduced_sub, "mul": reduced_mul}
 
 
 def arr(*values):
     return np.array(values, dtype=np.float32)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float32).reshape(-1).view(
+        np.uint32).tolist()
 
 
 class TestPhasePlumbing:
@@ -78,6 +88,114 @@ class TestOperations:
         ctx = FPContext({"lcp": 3})
         with ctx.in_phase("lcp"):
             assert ctx.div(arr(1.0), arr(3.0))[0] == np.float32(1.0 / 3.0)
+
+
+def operands(kind):
+    rng = np.random.default_rng(17)
+    if kind == "scalar":
+        return 1.3, np.float32(-2.1)
+    if kind == "0-d":
+        return np.array(1.3, np.float32), np.array(-2.1, np.float32)
+    if kind == "broadcast":
+        return (rng.standard_normal((4, 1)).astype(np.float32),
+                rng.standard_normal(3).astype(np.float32))
+    return tuple(np.asfortranarray(rng.standard_normal((3, 4)),
+                                   dtype=np.float32) for _ in range(2))
+
+
+class TestOperandShapes:
+    """Both kernels and the context's ops give the broadcast shape (0-d
+    stays 0-d) and the reference bits, whatever the operands' layout."""
+
+    @pytest.mark.parametrize("census", [False, True],
+                             ids=["census-free", "census"])
+    @pytest.mark.parametrize("precision", [9, FULL_PRECISION])
+    @pytest.mark.parametrize("kind", ["scalar", "0-d", "broadcast",
+                                      "fortran"])
+    def test_shapes_and_bits(self, kind, precision, census):
+        a, b = operands(kind)
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        ctx = FPContext({"lcp": precision}, census=census)
+        mode = ctx.mode
+        with ctx.in_phase("lcp"):
+            kern = ctx.kernel()
+            assert isinstance(kern, CensusKernel if census
+                              else ReducedKernel)
+            for name, ufunc in UFUNCS.items():
+                if census:
+                    want = ORACLES[name](a, b, precision, mode)[0]
+                else:
+                    want = reduce_array(
+                        ufunc(reduce_array(a, precision, mode),
+                              reduce_array(b, precision, mode)),
+                        precision, mode)
+                for got in (getattr(ctx, name)(a, b),
+                            kern.apply(ufunc, a, b),
+                            kern.binop(ufunc, kern.enter(a),
+                                       kern.enter(b))):
+                    assert np.shape(got) == shape, name
+                    assert bits(got) == bits(want), name
+            want = reduced_div(a, b)[0]
+            for got in (ctx.div(a, b), kern.div(a, b)):
+                assert np.shape(got) == shape
+                assert bits(got) == bits(want)
+
+
+class _Recorder:
+    """Fault injector stand-in: records what it is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def corrupt(self, phase, op, result, precision):
+        self.seen.append((phase, op, precision))
+        return result
+
+
+class TestKernelCache:
+    """``kernel()`` hands back kernels it holds, keyed by everything a
+    census-free kernel is built from."""
+
+    def test_same_kernel_per_precision(self):
+        ctx = FPContext({"lcp": 9, "narrow": 9}, census=False)
+        with ctx.in_phase("lcp"):
+            kern = ctx.kernel()
+            assert ctx.kernel() is kern
+        with ctx.in_phase("narrow"):
+            assert ctx.kernel() is kern
+        assert ctx.kernel().precision == FULL_PRECISION
+
+    def test_precision_change_takes_effect(self):
+        ctx = FPContext({"lcp": 9}, census=False)
+        ctx.phase = "lcp"
+        ctx.kernel()
+        ctx.set_precision("lcp", 4)
+        assert ctx.kernel().precision == 4
+        ctx.phase_precision["lcp"] = 6
+        assert ctx.kernel().precision == 6
+
+    def test_mode_and_guard_bits_changes_take_effect(self):
+        ctx = FPContext({"lcp": 9}, census=False)
+        ctx.phase = "lcp"
+        kern = ctx.kernel()
+        ctx.mode = "trunc"
+        assert ctx.mode is RoundingMode.TRUNCATION
+        assert ctx.kernel().mode is RoundingMode.TRUNCATION
+        ctx.jam_guard_bits = 1
+        assert ctx.kernel().guard_bits == 1
+        assert ctx.kernel() is not kern
+
+    def test_injector_install_and_removal_take_effect(self):
+        ctx = FPContext({"lcp": 9}, census=False)
+        ctx.phase = "lcp"
+        ctx.add(arr(1.0), arr(2.0))
+        ctx.injector = recorder = _Recorder()
+        ctx.add(arr(1.0), arr(2.0))
+        ctx.kernel().binop(np.multiply, arr(1.0), arr(2.0))
+        assert recorder.seen == [("lcp", "add", 9), ("lcp", "mul", 9)]
+        ctx.injector = None
+        ctx.add(arr(1.0), arr(2.0))
+        assert len(recorder.seen) == 2
 
 
 class TestCensus:

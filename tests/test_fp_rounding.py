@@ -15,9 +15,9 @@ from repro.fp.bits import (
 )
 from repro.fp.rounding import (
     FULL_PRECISION,
+    ReducedKernel,
     RoundingMode,
     reduce_array,
-    reduce_array_fast,
     reduce_bits,
     reduce_scalar,
 )
@@ -184,14 +184,15 @@ class TestProperties:
     def test_fast_path_matches_exact_for_normals(self, values, precision,
                                                  mode):
         arr = np.array(values, dtype=np.float32)
-        # Fast path deviates only on denormals/NaN payloads; strip them.
+        # The op kernels' unguarded in-place rounding deviates only on
+        # denormals/NaN payloads; strip them.
         normal = (np.abs(arr) > 1.2e-38) | (arr == 0.0)
         arr = arr[normal]
         if len(arr) == 0:
             return
         exact = reduce_array(arr, precision, mode)
-        fast = reduce_array_fast(arr, precision, mode)
-        assert np.array_equal(exact, fast)
+        fast = ReducedKernel(precision, mode).enter(arr)
+        assert np.array_equal(exact.view(np.uint32), fast.view(np.uint32))
 
 
 class TestBiasDirection:

@@ -1,9 +1,10 @@
-"""Tests for the perf subsystem: sweep runner, fused kernels, bench.
+"""Tests for the perf subsystem: sweep runner, reduced ops, bench.
 
-The fused round-a/round-b/op/round-result kernel must be *bit-exact*
-against the three-pass reduction it replaced — any divergence would
-silently change every Table 1 number — and the parallel sweep paths
-must return results identical to serial execution.
+The census-free ops (round both operands, execute, round the result, in
+one fused pass) must be *bit-exact* against the same composition of the
+guarded :func:`reduce_array` — any divergence would silently change
+every Table 1 number — and the parallel sweep paths must return results
+identical to serial execution.
 """
 
 import json
@@ -13,13 +14,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.fp.context import FPContext
-from repro.fp.rounding import (
-    FULL_PRECISION,
-    RoundingMode,
-    fused_binop,
-    reduce_array,
-    reduce_array_fast,
-)
+from repro.fp.rounding import FULL_PRECISION, RoundingMode, reduce_array
 from repro.memo.memo_table import MemoTable
 from repro.perf.bench import BenchProtocol, render_summary, run_bench
 from repro.perf.sweep import (
@@ -33,8 +28,24 @@ MODES = (RoundingMode.NEAREST, RoundingMode.JAMMING,
          RoundingMode.TRUNCATION)
 
 
+OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+
+
 def _bits(arr):
     return np.asarray(arr, dtype=np.float32).reshape(-1).view(np.uint32)
+
+
+def _table1(ufunc, a, b, precision, mode):
+    """``round(round(a) ufunc round(b))`` from the guarded rounding."""
+    return reduce_array(ufunc(reduce_array(a, precision, mode),
+                              reduce_array(b, precision, mode)),
+                        precision, mode)
+
+
+def _census_free(precision, mode):
+    ctx = FPContext({"lcp": precision}, mode=mode, census=False)
+    ctx.phase = "lcp"
+    return ctx
 
 
 # ----------------------------------------------------------------------
@@ -53,29 +64,39 @@ def _boom(x):
 
 
 class TestReduceArrayEquivalence:
-    """Satellite: cached-mask ``reduce_array`` vs the fast path."""
+    """Census-free ``ctx.add``/``sub``/``mul`` against the Table 1
+    composition of the guarded :func:`reduce_array`."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_bit_exact_all_precisions(self, mode):
         rng = np.random.default_rng(11)
-        # The fast path's contract covers normals, zeros and infinities
-        # (NaN payloads / denormals are documented divergences).
-        values = np.concatenate([
+        # Normals, zeros and infinities, paired so that no op makes a
+        # NaN or a denormal: the ops' unguarded rounding differs from
+        # reduce_array only there.
+        a = np.concatenate([
             rng.standard_normal(512).astype(np.float32),
-            (rng.standard_normal(64) * 1e30).astype(np.float32),
-            (rng.standard_normal(64) * 1e-30).astype(np.float32),
-            np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf],
+            (rng.standard_normal(64) * 1e15).astype(np.float32),
+            (rng.standard_normal(64) * 1e-15).astype(np.float32),
+            np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0],
                      dtype=np.float32),
         ])
+        b = np.concatenate([
+            rng.standard_normal(512).astype(np.float32),
+            (rng.standard_normal(64) * 1e15).astype(np.float32),
+            (rng.standard_normal(64) * 1e-15).astype(np.float32),
+            np.array([2.5, -1.5, 3.0, 0.75, 0.0, -0.0], dtype=np.float32),
+        ])
         for precision in range(FULL_PRECISION + 1):
-            slow = reduce_array(values, precision, mode)
-            fast = reduce_array_fast(values, precision, mode)
-            assert _bits(slow).tolist() == _bits(fast).tolist(), (
-                f"mode={mode} precision={precision}")
+            ctx = _census_free(precision, mode)
+            for name, ufunc in OPS.items():
+                got = getattr(ctx, name)(a, b)
+                want = _table1(ufunc, a, b, precision, mode)
+                assert _bits(got).tolist() == _bits(want).tolist(), (
+                    f"{name} mode={mode} precision={precision}")
 
 
 class TestFusedKernels:
-    """The fused kernel vs the legacy three-pass hot path."""
+    """Every way into the census-free kernel rounds the same bits."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("precision", [0, 3, 9, 17, 22])
@@ -83,51 +104,39 @@ class TestFusedKernels:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((40, 3)).astype(np.float32)
         b = rng.standard_normal((40, 3)).astype(np.float32)
-        for ufunc in (np.add, np.subtract, np.multiply):
-            ra = reduce_array_fast(a, precision, mode)
-            rb = reduce_array_fast(b, precision, mode)
-            legacy = reduce_array_fast(ufunc(ra, rb), precision, mode)
-            fused = fused_binop(ufunc, a, b, precision, mode)
-            assert _bits(legacy).tolist() == _bits(fused).tolist()
+        ctx = _census_free(precision, mode)
+        kern = ctx.kernel()
+        for name, ufunc in OPS.items():
+            want = _bits(_table1(ufunc, a, b, precision, mode)).tolist()
+            entered = kern.binop(ufunc, kern.enter(a), kern.enter(b))
+            into = np.empty_like(a)
+            kern.binop_at(ufunc, kern.enter(a), kern.enter(b), into)
+            for got in (getattr(ctx, name)(a, b), kern.apply(ufunc, a, b),
+                        entered, into):
+                assert _bits(got).tolist() == want, name
 
     def test_fused_binop_broadcast_and_scalar(self):
-        a = np.float32(1.7)
-        b = np.arange(6, dtype=np.float32).reshape(2, 3) * np.float32(0.3)
-        fused = fused_binop(np.multiply, a, b, 9, RoundingMode.JAMMING)
-        ra = reduce_array_fast(a, 9, RoundingMode.JAMMING)
-        rb = reduce_array_fast(b, 9, RoundingMode.JAMMING)
-        legacy = reduce_array_fast(ra * rb, 9, RoundingMode.JAMMING)
-        assert fused.shape == (2, 3)
-        assert _bits(legacy).tolist() == _bits(fused).tolist()
+        mode = RoundingMode.JAMMING
+        ctx = _census_free(9, mode)
+        grid = np.arange(6, dtype=np.float32).reshape(2, 3) * np.float32(0.3)
+        row = np.array([1.1, -2.2, 3.3], dtype=np.float32)
+        for a, b in ((np.float32(1.7), grid), (grid, 1.7), (row, grid),
+                     (grid, row[:, None][:2])):
+            for name, ufunc in OPS.items():
+                got = getattr(ctx, name)(a, b)
+                want = _table1(ufunc, a, b, 9, mode)
+                assert got.shape == (2, 3)
+                assert _bits(got).tolist() == _bits(want).tolist(), name
 
     def test_fused_binop_leaves_inputs_unmutated(self):
         a = np.full(8, 1.2345678, dtype=np.float32)
         b = np.full(8, 2.3456789, dtype=np.float32)
         sa, sb = a.copy(), b.copy()
-        fused_binop(np.add, a, b, 5, RoundingMode.TRUNCATION)
+        ctx = _census_free(5, RoundingMode.TRUNCATION)
+        for name in OPS:
+            getattr(ctx, name)(a, b)
+            getattr(ctx, name)(a[:1], b)  # broadcast
         assert np.array_equal(a, sa) and np.array_equal(b, sb)
-
-    def test_context_axpy_census_free(self):
-        ctx = FPContext({"lcp": 9}, mode="jam", census=False)
-        ctx.phase = "lcp"
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal(32).astype(np.float32)
-        x = rng.standard_normal(32).astype(np.float32)
-        y = rng.standard_normal(32).astype(np.float32)
-        expect = ctx.add(y, ctx.mul(a, x))
-        got = ctx.axpy(a, x, y)
-        assert _bits(expect).tolist() == _bits(got).tolist()
-
-    def test_context_axpy_census_counts_both_ops(self):
-        ctx = FPContext({"lcp": 9}, mode="jam", census=True)
-        ctx.phase = "lcp"
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal(16).astype(np.float32)
-        x = rng.standard_normal(16).astype(np.float32)
-        y = rng.standard_normal(16).astype(np.float32)
-        ctx.axpy(a, x, y)
-        assert ctx.stats[("lcp", "mul")].total == 16
-        assert ctx.stats[("lcp", "add")].total == 16
 
 
 class TestMemoBudgetRestore:

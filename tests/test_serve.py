@@ -2,6 +2,8 @@
 
 import asyncio
 import base64
+import gc
+import logging
 import threading
 
 import pytest
@@ -620,6 +622,39 @@ class TestConnectionFaults(FramingFaults):
 
         recovered = {r.session_id for r in recover_sessions(journal_dir)}
         assert s_drop in recovered
+
+
+class TestStopEndsConnectionHandlers:
+    """``stop`` cancels and awaits every connection's handler, so none
+    is left pending when the front end's loop closes."""
+
+    def test_stop_with_a_request_in_flight(self, caplog):
+        handle = _server()
+        client = handle.connect()
+        started, release = threading.Event(), threading.Event()
+
+        def held_step():
+            started.set()
+            release.wait(30)
+
+        try:
+            sid = client.create("continuous", scale=0.4)
+            handle.frontend.manager.get(sid).world.step = held_step
+            client._file.write(encode_frame(
+                {"op": "step", "session": sid, "steps": 1}))
+            client._file.flush()
+            assert started.wait(30)  # the step is on a worker thread
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                handle.stop()
+                del handle  # the loop and its tasks become garbage
+                gc.collect()
+        finally:
+            release.set()
+            client.close()
+        assert not [record for record in caplog.records
+                    if "destroyed but it is pending" in record.getMessage()]
+        assert not [record for record in caplog.records
+                    if record.name == "asyncio"]
 
 
 class TestFleetStepping:

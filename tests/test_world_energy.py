@@ -84,20 +84,20 @@ class TestIslands:
 
     def test_partition_labels(self):
         dynamic = np.array([True] * 4)
-        labels = partition_islands(4, dynamic, [(0, 1), (2, 3)])
+        labels = partition_islands(4, dynamic, [0, 2], [1, 3])
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
 
     def test_static_bodies_do_not_merge(self):
         dynamic = np.array([True, False, True])
-        labels = partition_islands(3, dynamic, [(0, 1), (1, 2)])
+        labels = partition_islands(3, dynamic, [0, 1], [1, 2])
         assert labels[1] == -1
         assert labels[0] != labels[2]
 
     def test_world_body_ignored(self):
         dynamic = np.array([True, True])
-        labels = partition_islands(2, dynamic, [(0, 5), (1, -1)])
+        labels = partition_islands(2, dynamic, [0, 1], [5, -1])
         assert labels[0] != labels[1]
 
     def test_world_islands_two_piles(self):
@@ -264,14 +264,6 @@ class TestWorldPlumbing:
         world = make_world()
         world.step_frame()
         assert world.step_count == 3
-
-    def test_on_step_callback(self):
-        world = make_world()
-        seen = []
-        world.on_step = lambda w, record: seen.append(record.step)
-        world.step()
-        world.step()
-        assert seen == [0, 1]
 
     def test_penetration_series_tracked(self):
         world = make_world()
