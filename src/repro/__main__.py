@@ -14,9 +14,9 @@ Commands
     print the incident/health report (``--seeds N`` fans a multi-seed
     sweep over worker processes).
 ``bench``
-    Time the census-free and census step loops per scenario and write a
-    ``BENCH_<stamp>.json`` perf snapshot (includes the metrics-overhead
-    assertion for the observability layer).
+    Time the census-free and census step loops per scenario and the
+    tracing overhead on one, and write them to a ``BENCH_<stamp>.json``
+    (perfbench measures every other speed number).
 ``trace SCENARIO``
     Run a scenario with the ``repro.obs`` tracer attached and stream
     per-step telemetry (precision, energy delta, census totals,
@@ -56,13 +56,22 @@ import sys
 import time
 
 
+def mantissa_bits(text: str) -> int:
+    """``--lcp-bits``/``--narrow-bits``: mantissa bits in 0-23, where
+    23 is full precision."""
+    bits = int(text)
+    if not 0 <= bits <= 23:
+        raise argparse.ArgumentTypeError(f"must be in [0, 23], got {bits}")
+    return bits
+
+
 def _add_run_parser(sub) -> None:
     p = sub.add_parser("run", help="simulate one scenario")
     p.add_argument("scenario")
     p.add_argument("--steps", type=int, default=90)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--lcp-bits", type=int, default=23)
-    p.add_argument("--narrow-bits", type=int, default=23)
+    p.add_argument("--lcp-bits", type=mantissa_bits, default=23)
+    p.add_argument("--narrow-bits", type=mantissa_bits, default=23)
     p.add_argument("--mode", default="jam",
                    choices=["rn", "jam", "trunc"])
     p.add_argument("--census", action="store_true",
@@ -137,8 +146,8 @@ def _add_health_parser(sub) -> None:
                         "precision-tuned phases")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed (faults AND scenario layout)")
-    p.add_argument("--lcp-bits", type=int, default=10)
-    p.add_argument("--narrow-bits", type=int, default=12)
+    p.add_argument("--lcp-bits", type=mantissa_bits, default=10)
+    p.add_argument("--narrow-bits", type=mantissa_bits, default=12)
     p.add_argument("--mode", default="jam",
                    choices=["rn", "jam", "trunc"])
     p.add_argument("--max-log-lines", type=int, default=None,
@@ -153,28 +162,18 @@ def _add_health_parser(sub) -> None:
 
 def _add_bench_parser(sub) -> None:
     p = sub.add_parser(
-        "bench", help="step-loop throughput benchmark (BENCH_*.json)")
+        "bench", help="census/census-free steps/s and tracing overhead "
+                      "(BENCH_*.json)")
     p.add_argument("--quick", action="store_true",
                    help="only the smoke subset of scenarios")
     p.add_argument("--scenarios", nargs="+", default=None,
                    help="explicit scenario list (overrides --quick)")
     p.add_argument("--steps", type=int, default=None,
-                   help="timed census-free steps per scenario "
-                        "(non-default protocols skip baseline speedups)")
+                   help="timed census-free steps per scenario")
     p.add_argument("--census-steps", type=int, default=None,
                    help="timed census steps per scenario")
-    p.add_argument("--kernel-iters", type=int, default=None,
-                   help="kernel microbenchmark iterations")
-    p.add_argument("--no-kernel", action="store_true",
-                   help="skip the kernel microbenchmark")
     p.add_argument("--output", default="results",
                    help="directory for BENCH_<stamp>.json")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON for speedup columns "
-                        "(default: results/BENCH_baseline.json)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="time scenarios concurrently (noisier numbers; "
-                        "default 1 for timing fidelity)")
     p.add_argument("--no-obs-overhead", action="store_true",
                    help="skip the metrics-overhead assertion")
 
@@ -192,9 +191,9 @@ def _add_trace_parser(sub) -> None:
                    help="scenario-construction seed (default: built-in)")
     p.add_argument("--mode", default="jam",
                    choices=["rn", "jam", "trunc"])
-    p.add_argument("--lcp-bits", type=int, default=None,
+    p.add_argument("--lcp-bits", type=mantissa_bits, default=None,
                    help="override the preset LCP precision")
-    p.add_argument("--narrow-bits", type=int, default=None,
+    p.add_argument("--narrow-bits", type=mantissa_bits, default=None,
                    help="override the preset narrowphase precision")
     p.add_argument("--out", default="trace.jsonl",
                    help="JSONL output path (default: trace.jsonl)")
@@ -479,22 +478,11 @@ def _cmd_bench(args) -> int:
     if args.census_steps is not None:
         overrides["census_steps"] = args.census_steps
         overrides["census_warmup"] = max(1, args.census_steps // 4)
-    if args.kernel_iters is not None:
-        overrides["kernel_iters"] = args.kernel_iters
-    protocol = dataclasses.replace(BenchProtocol(), **overrides)
-
     payload = run_bench(
         scenarios=args.scenarios,
         quick=args.quick,
-        protocol=protocol,
+        protocol=dataclasses.replace(BenchProtocol(), **overrides),
         output_dir=args.output,
-        baseline_path=args.baseline,
-        workers=args.workers,
-        kernel=not args.no_kernel,
-        # A custom step protocol changes what one timed loop means, so
-        # only compare against the recorded baseline on the default one
-        # (an explicit --baseline overrides the caution).
-        compare=not overrides or args.baseline is not None,
         obs_overhead=not args.no_obs_overhead,
     )
     print(render_summary(payload))

@@ -98,7 +98,9 @@ class FPContext:
         census: bool = True,
         jam_guard_bits: int = DEFAULT_GUARD_BITS,
     ) -> None:
-        self.phase_precision: Dict[str, int] = dict(phase_precision or {})
+        self.phase_precision: Dict[str, int] = {}
+        for phase, bits in (phase_precision or {}).items():
+            self.set_precision(phase, bits)
         self.mode = mode
         self.memo = memo
         self.memo_budget = memo_budget

@@ -26,6 +26,7 @@ import numpy as np
 from .bits import (
     EXPONENT_MASK,
     MANTISSA_BITS,
+    SIGN_MASK,
     array_to_bits,
     bits_to_array,
     bits_to_float,
@@ -211,9 +212,10 @@ def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
     Identical to :func:`reduce_array` for normal numbers, zeros and
     infinities.  There is no special-value guard: denormals are rounded
     like tiny normals instead of passing through, and NaN payloads may
-    change (at precision 0 a NaN loses its quiet bit and becomes an
-    infinity, or a zero when rounding to nearest).  Physics state never
-    legitimately holds either.
+    change.  At precisions 1-23 the quiet bit is kept, so the NaNs that
+    arithmetic makes (quiet bit, no other payload) stay NaNs in every
+    mode; at precision 0 no mantissa bit is kept, so
+    :class:`ReducedKernel` rounds with :func:`_reduce_bits_keep_nan`.
 
     ``scratch``, a uint32 array shaped like ``bits``, receives the one
     temporary the nearest and jamming modes need; without it that
@@ -242,6 +244,23 @@ def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
             np.bitwise_or(bits, guards, out=bits)
         else:
             np.bitwise_and(bits, keep_mask, out=bits)
+
+
+_MAGNITUDE = np.uint32(~SIGN_MASK & 0xFFFFFFFF)
+_INFINITY = np.uint32(EXPONENT_MASK)
+
+
+def _reduce_bits_keep_nan(bits: np.ndarray, mode: RoundingMode,
+                          params, scratch: Optional[np.ndarray] = None
+                          ) -> None:
+    """:func:`_reduce_bits_inplace` for precision 0, where dropping
+    every mantissa bit would turn a NaN into an infinity (or carry it
+    into a zero when rounding to nearest): NaN lanes keep their bits,
+    as in :func:`reduce_array`."""
+    nan = np.bitwise_and(bits, _MAGNITUDE) > _INFINITY
+    kept = bits[nan]
+    _reduce_bits_inplace(bits, mode, params, scratch)
+    bits[nan] = kept
 
 
 _OP_NAMES = {np.add: "add", np.subtract: "sub", np.multiply: "mul"}
@@ -273,7 +292,7 @@ class ReducedKernel:
     counts = False
 
     __slots__ = ("precision", "mode", "guard_bits", "full", "_params",
-                 "_deliver")
+                 "_reduce", "_deliver")
 
     def __init__(self, precision: int, mode: RoundingMode,
                  guard_bits: int = DEFAULT_GUARD_BITS,
@@ -285,13 +304,15 @@ class ReducedKernel:
         self.full = precision == MANTISSA_BITS
         self._params = None if self.full else _round_params(
             precision, self.mode, guard_bits)
+        self._reduce = (_reduce_bits_keep_nan if precision == 0
+                        else _reduce_bits_inplace)
         self._deliver = deliver
 
     def _round(self, arr: np.ndarray) -> np.ndarray:
         """Mantissa-reduce a contiguous float32 array in place."""
         if not self.full:
-            _reduce_bits_inplace(arr.reshape(-1).view(np.uint32),
-                                 self.mode, self._params)
+            self._reduce(arr.reshape(-1).view(np.uint32), self.mode,
+                         self._params)
         return arr
 
     def enter(self, values) -> np.ndarray:
@@ -327,8 +348,8 @@ class ReducedKernel:
         """Like :meth:`binop` but into a preallocated contiguous buffer."""
         ufunc(a, b, out=out)
         if not self.full:
-            _reduce_bits_inplace(out.reshape(-1).view(np.uint32),
-                                 self.mode, self._params)
+            self._reduce(out.reshape(-1).view(np.uint32), self.mode,
+                         self._params)
         if self._deliver is not None:
             self._deliver(_OP_NAMES[ufunc], out)  # corrupts in place
         return out
@@ -344,7 +365,7 @@ class ReducedKernel:
         for acc, bits, inc, scratch in waves:
             np.add(acc, inc, out=acc)
             if not self.full:
-                _reduce_bits_inplace(bits, self.mode, self._params, scratch)
+                self._reduce(bits, self.mode, self._params, scratch)
             if self._deliver is not None:
                 self._deliver("add", acc)
 

@@ -85,12 +85,6 @@ class _ContactAccumulator:
         self._restitution.append(
             max(geom_a.restitution, geom_b.restitution))
 
-    def emit_many(self, body_a, body_b, pos, normal, depth, geom_a,
-                  geom_b) -> None:
-        for k in range(len(depth)):
-            self.emit(body_a, body_b, pos[k], normal[k] if normal.ndim > 1
-                      else normal, depth[k], geom_a, geom_b)
-
     def freeze(self) -> ContactSet:
         if not self._depth:
             return ContactSet()

@@ -54,7 +54,6 @@ class AdmissionController:
         self.policy = policy or AdmissionPolicy()
         self._pending: Dict[str, int] = {}
         self._depth = 0
-        self.admitted_total = 0
         self.rejected_total = 0
         registry = MetricsRegistry() if registry is None else registry
         self._registry = registry
@@ -113,7 +112,6 @@ class AdmissionController:
                         f"queued", extra=hint)
         self._pending[session_id] = self._pending.get(session_id, 0) + 1
         self._depth += 1
-        self.admitted_total += 1
         self._m_admitted.inc()
         self._g_depth.set(self._depth)
 

@@ -46,10 +46,11 @@ import hashlib
 import re
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..fp.context import FPContext
+from ..fp.rounding import FULL_PRECISION
 from ..obs.tracer import Tracer
 from ..robustness.checkpoint import (
     capture_world,
@@ -137,6 +138,12 @@ class SessionConfig:
             raise ServiceError(
                 "bad_request",
                 "'precision' must map phase names to integer bits")
+        for phase, bits in precision.items():
+            if not 0 <= bits <= FULL_PRECISION:
+                raise ServiceError(
+                    "bad_request",
+                    f"'precision' bits must be in [0, {FULL_PRECISION}], "
+                    f"got {phase}={bits}")
         for name in ("step_budget", "step_deadline", "inject_rate",
                      "chaos_slow_s"):
             value = frame.get(name)
@@ -167,7 +174,8 @@ class SessionConfig:
                 scale=float(frame.get("scale", 1.0)),
                 seed=(int(frame["seed"]) if frame.get("seed") is not None
                       else None),
-                precision={k: v for k, v in precision.items() if v < 23},
+                precision={k: v for k, v in precision.items()
+                           if v < FULL_PRECISION},
                 mode=str(frame.get("mode", "jam")),
                 adaptive=bool(frame.get("adaptive", False)),
                 step_budget=(float(step_budget)
@@ -186,21 +194,9 @@ class SessionConfig:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe form for the journal's config record."""
-        return {
-            "scenario": self.scenario,
-            "scale": self.scale,
-            "seed": self.seed,
-            "precision": dict(self.precision),
-            "mode": self.mode,
-            "adaptive": self.adaptive,
-            "step_budget": self.step_budget,
-            "guarded": self.guarded,
-            "step_deadline": self.step_deadline,
-            "inject_rate": self.inject_rate,
-            "chaos_slow_every": self.chaos_slow_every,
-            "chaos_slow_s": self.chaos_slow_s,
-        }
+        """JSON-safe form for the journal's config record: every field,
+        so :meth:`from_dict` rebuilds an equal config."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SessionConfig":
@@ -260,7 +256,6 @@ class Session:
         #: entry — the rung-1 rollback target and the respawn substrate.
         self._last_journal: Optional[Tuple] = None
         self.steps_since_journal = 0
-        self.recovery_count = 0
         self._recovery_events: List[dict] = []
         self._chaos_counter = 0
         self._slept = 0.0
@@ -379,7 +374,6 @@ class Session:
         if outcome == "detected":
             self._detected_at = time.perf_counter()
         elif outcome != "failed":  # a failed retry escalates; no event
-            self.recovery_count += 1
             self._recovery_events.append({
                 "session": self.id,
                 "rung": rung,

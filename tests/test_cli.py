@@ -76,6 +76,10 @@ class TestCli:
         ["design", "--surrogate", "model.json"],
         ["serve", "--design-surrogate", "model.json"],
         ["tune", "continuous", "--workers", "2"],
+        ["bench", "--baseline", "b.json"],
+        ["bench", "--workers", "2"],
+        ["bench", "--kernel-iters", "2"],
+        ["bench", "--no-kernel", "--quick"],
     ])
     def test_removed_surrogate_surface_is_a_usage_error(self, argv,
                                                         capsys):
@@ -84,6 +88,17 @@ class TestCli:
         assert exc.value.code == 2
         # The removed command or flag is second to last in every argv.
         assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "health", "trace"])
+    @pytest.mark.parametrize("flag", ["--lcp-bits", "--narrow-bits"])
+    @pytest.mark.parametrize("bits", ["-3", "24"])
+    def test_precision_outside_0_to_23_is_a_usage_error(
+            self, command, flag, bits, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "continuous", "--steps", "1", flag, bits])
+        assert exc.value.code == 2
+        assert f"{flag}: must be in [0, 23], got {bits}" in (
+            capsys.readouterr().err)
 
     def test_artifact_commands_registered(self):
         assert set(ARTIFACTS) == {

@@ -58,6 +58,11 @@ class TestPhasePlumbing:
         with pytest.raises(ValueError):
             ctx.set_precision("lcp", 24)
 
+    @pytest.mark.parametrize("bits", [-3, 24, 99])
+    def test_constructor_validates(self, bits):
+        with pytest.raises(ValueError, match="out of range"):
+            FPContext({"narrow": 9, "lcp": bits})
+
     def test_mode_parse_in_constructor(self):
         assert FPContext(mode="rn").mode is RoundingMode.NEAREST
 

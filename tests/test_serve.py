@@ -121,7 +121,7 @@ class TestSessionConfig:
         config = SessionConfig.from_frame(
             {"scenario": "continuous",
              "precision": {"lcp": 8, "narrow": 23}})
-        # full-precision (>= 23 bit) entries are dropped, like the CLI
+        # full-precision (23-bit) entries are dropped, like the CLI
         assert config.precision == {"lcp": 8}
 
     def test_from_frame_validates_step_budget(self):
@@ -134,11 +134,13 @@ class TestSessionConfig:
 
 
 class TestCreateValidation:
-    """``create`` refuses ladder fields that would break the ladder."""
+    """``create`` refuses fields that would break the session or its
+    ladder."""
 
     @pytest.mark.parametrize("field,value", [
         ("step_deadline", 0), ("step_budget", 0), ("step_budget", -5),
-        ("chaos_slow_s", -1)])
+        ("chaos_slow_s", -1), ("precision", {"narrow": 9, "lcp": -3}),
+        ("precision", {"lcp": 24}), ("precision", {"lcp": 99})])
     def test_bad_request_names_the_field(self, field, value):
         service = SimulationService(ServiceConfig(allow_chaos=True))
         frame = {"op": "create", "scenario": "continuous", "scale": 0.4,
