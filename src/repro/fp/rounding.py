@@ -177,6 +177,18 @@ def reduce_array(
 _ROUND_PARAMS = {}
 
 
+def _constant(value) -> np.ndarray:
+    """A read-only 0-d uint32 array.  As a ufunc operand it dispatches
+    faster than a numpy scalar, which most reduced ops' small arrays
+    feel: each rounding pass is mostly dispatch."""
+    arr = np.array(value, dtype=np.uint32)
+    arr.flags.writeable = False
+    return arr
+
+
+_ONE = _constant(1)
+
+
 def _round_params(precision: int, mode: RoundingMode, guard_bits: int):
     key = (precision, mode, guard_bits)
     params = _ROUND_PARAMS.get(key)
@@ -198,8 +210,9 @@ def _round_params(precision: int, mode: RoundingMode, guard_bits: int):
         # set" into the kept-LSB jam bit in pure integer arithmetic.
         guard_test = np.uint32(int(guard_mask) << int(guard_shift))
         jam_carry = np.uint32(int(lsb_bit) - 1) if lsb_bit else np.uint32(0)
-        params = (keep_mask, lsb_shift, lsb_bit, guard_shift, guard_mask,
-                  half_minus_1, guard_test, jam_carry)
+        params = tuple(_constant(c) for c in (
+            keep_mask, lsb_shift, lsb_bit, guard_shift, guard_mask,
+            half_minus_1, guard_test, jam_carry))
         _ROUND_PARAMS[key] = params
     return params
 
@@ -227,21 +240,20 @@ def _reduce_bits_inplace(bits: np.ndarray, mode: RoundingMode,
     elif mode is RoundingMode.NEAREST:
         half_minus_1 = params[5]
         tmp = np.right_shift(bits, params[1], out=scratch)
-        np.bitwise_and(tmp, np.uint32(1), out=tmp)
+        np.bitwise_and(tmp, _ONE, out=tmp)
         np.add(tmp, half_minus_1, out=tmp)
         np.add(bits, tmp, out=bits)
         np.bitwise_and(bits, keep_mask, out=bits)
     else:  # JAMMING
-        lsb_bit = params[2]
-        if lsb_bit:
-            # (guards + (lsb_bit - 1)) & lsb_bit == lsb_bit iff any guard
-            # bit is set: the guard field is strictly below lsb_bit, so
-            # the add carries into the lsb position exactly when nonzero.
+        if params[2]:
+            # (bits | (guards + (lsb_bit - 1))) & keep_mask: the guard
+            # field lies strictly below lsb_bit, so the add carries into
+            # the lsb position exactly when a guard bit is set, and it
+            # sets no bit above it; the mask clears what it set below.
             guards = np.bitwise_and(bits, params[6], out=scratch)
             np.add(guards, params[7], out=guards)
-            np.bitwise_and(guards, lsb_bit, out=guards)
-            np.bitwise_and(bits, keep_mask, out=bits)
             np.bitwise_or(bits, guards, out=bits)
+            np.bitwise_and(bits, keep_mask, out=bits)
         else:
             np.bitwise_and(bits, keep_mask, out=bits)
 
@@ -270,17 +282,22 @@ class ReducedKernel:
     """Census-free op kernel: the paper's Table 1 error model.
 
     Every reduced op computes ``round(round(a) op round(b))``.
-    :meth:`apply` takes operands of any origin and rounds copies of
-    them (at full precision it rounds nothing); the
-    :class:`~repro.fp.FPContext` ops run through it.  Whole-array passes
-    use the rest of the interface: all three rounding modes are
-    idempotent (``round(round(x)) == round(x)``), so a pass whose arrays
-    are *already* mantissa-reduced skips the operand rounding and rounds
+    :meth:`apply` takes operands of any origin and rounds copies of both
+    on every call (at full precision it rounds nothing); the
+    :class:`~repro.fp.FPContext`'s ``add``/``sub``/``mul`` run through
+    it.  The engine's passes (every module of :mod:`repro.physics`) use
+    the rest of the interface: all three rounding modes are idempotent
+    (``round(round(x)) == round(x)``), so a pass enters each input once
+    (:meth:`enter`) and chains :meth:`binop` on kernel results, rounding
     only each new result, with the same bits at a fraction of the ufunc
     dispatch.  Such a pass is responsible for the invariant: every
     operand passed to :meth:`binop` / :meth:`binop_at` /
     :meth:`add_waves` must have come from :meth:`enter` or from a
-    previous kernel result.
+    previous result of this kernel (a sign flip or ``abs`` of one
+    included).  Another phase's results, :meth:`div`/:meth:`sqrt`
+    results and inexact constants must be entered.
+    ``tests/test_kernel_operands.py`` checks the invariant on every
+    engine pass.
 
     The census-taking :class:`~repro.fp.census.CensusKernel` offers the
     same methods.  ``deliver``, when given, receives every op result as

@@ -130,14 +130,17 @@ class BodyStore:
         n = self._n
         if n == 0:
             return
-        rot = math3d.quat_rotate_matrix(ctx, self.quat[:n])
+        kern = ctx.kernel()
+        rot = math3d.quat_rotate_matrix_r(kern, kern.enter(self.quat[:n]))
         self.rot[:n] = rot
         # I_w^-1 = R diag(I_b^-1) R^T, computed as (R * invI) @ R^T.
-        scaled = ctx.mul(rot, self.inv_inertia_body[:n, None, :])
+        scaled = kern.binop(np.multiply, rot,
+                            kern.enter(self.inv_inertia_body[:n, None, :]))
         out = np.empty((n, 3, 3), dtype=np.float32)
         for i in range(3):
             for j in range(3):
-                out[:, i, j] = math3d.dot(ctx, scaled[:, i, :], rot[:, j, :])
+                out[:, i, j] = math3d.dot_r(kern, scaled[:, i, :],
+                                            rot[:, j, :])
         self.inv_inertia_world[:n] = out
         self.clear_world_row()
 

@@ -99,7 +99,8 @@ class Cloth:
             np.asarray(gravity, dtype=np.float32)[None, :] * np.float32(dt),
             np.float32(0.0),
         )
-        self.vel = ctx.add(self.vel, dv)
+        kern = ctx.kernel()
+        self.vel = kern.binop(np.add, kern.enter(self.vel), kern.enter(dv))
 
     def solve_constraints(self, ctx: FPContext, dt: float,
                           iterations: int, beta: float = 0.2) -> None:
@@ -174,37 +175,55 @@ class Cloth:
             if geom.shape is ShapeType.PLANE:
                 n = geom.params.astype(np.float32)
                 with ctx.in_phase("narrow"):
-                    height = ctx.sub(math3d.dot(ctx, n[None, :], self.pos),
-                                     np.float32(geom.offset))
+                    narrow = ctx.kernel()
+                    height = narrow.binop(
+                        np.subtract, math3d.dot(ctx, n[None, :], self.pos),
+                        narrow.enter(np.float32(geom.offset)))
                 below = height < 0
                 if below.any():
-                    push = math3d.scale(ctx, n[None, :], -height)
-                    self.pos = np.where(below[:, None],
-                                        ctx.add(self.pos, push), self.pos)
-                    vn = math3d.dot(ctx, n[None, :], self.vel)
-                    correction = math3d.scale(ctx, n[None, :], vn)
-                    stopped = ctx.sub(self.vel, correction)
+                    kern = ctx.kernel()
+                    nr = kern.enter(n[None, :])
+                    push = math3d.scale_r(kern, nr, kern.enter(-height))
+                    self.pos = np.where(
+                        below[:, None],
+                        kern.binop(np.add, kern.enter(self.pos), push),
+                        self.pos)
+                    velr = kern.enter(self.vel)
+                    vn = math3d.dot_r(kern, nr, velr)
+                    correction = math3d.scale_r(kern, nr, vn)
+                    stopped = kern.binop(np.subtract, velr, correction)
                     self.vel = np.where(below[:, None] & (vn < 0)[:, None],
                                         stopped, self.vel)
             elif geom.shape is ShapeType.SPHERE:
                 center = world.bodies.pos[geom.body]
                 radius = np.float32(geom.params[0] * 1.02)
                 with ctx.in_phase("narrow"):
-                    delta = ctx.sub(self.pos, center[None, :])
-                    direction, dist = math3d.normalize(ctx, delta)
-                    depth = ctx.sub(radius, dist)
+                    narrow = ctx.kernel()
+                    delta = narrow.binop(np.subtract, narrow.enter(self.pos),
+                                         narrow.enter(center[None, :]))
+                    direction, dist = math3d.normalize_r(narrow, delta)
+                    depth = narrow.binop(np.subtract, narrow.enter(radius),
+                                         narrow.enter(dist))
                 inside = dist < radius
                 if inside.any():
-                    push = math3d.scale(ctx, direction, depth)
-                    self.pos = np.where(inside[:, None],
-                                        ctx.add(self.pos, push), self.pos)
-                    vn = math3d.dot(ctx, direction, self.vel)
-                    correction = math3d.scale(ctx, direction, vn)
-                    damped = ctx.sub(self.vel, correction)
+                    kern = ctx.kernel()
+                    dir_r = kern.enter(direction)
+                    push = math3d.scale_r(kern, dir_r, kern.enter(depth))
+                    self.pos = np.where(
+                        inside[:, None],
+                        kern.binop(np.add, kern.enter(self.pos), push),
+                        self.pos)
+                    velr = kern.enter(self.vel)
+                    vn = math3d.dot_r(kern, dir_r, velr)
+                    correction = math3d.scale_r(kern, dir_r, vn)
+                    damped = kern.binop(np.subtract, velr, correction)
                     self.vel = np.where(inside[:, None] & (vn < 0)[:, None],
                                         damped, self.vel)
 
     def integrate(self, ctx: FPContext, dt: float) -> None:
+        kern = ctx.kernel()
         step = math3d.scale(ctx, self.vel, np.float32(dt))
         moving = (self.invmass > 0)[:, None]
-        self.pos = np.where(moving, ctx.add(self.pos, step), self.pos)
+        self.pos = np.where(moving,
+                            kern.binop(np.add, kern.enter(self.pos), step),
+                            self.pos)

@@ -34,7 +34,9 @@ def apply_gravity(
         np.asarray(gravity, dtype=np.float32) * np.float32(dt),
         np.float32(0.0),
     )
-    bodies.linvel[:n] = ctx.add(bodies.linvel[:n], dv)
+    kern = ctx.kernel()
+    bodies.linvel[:n] = kern.binop(np.add, kern.enter(bodies.linvel[:n]),
+                                   kern.enter(dv))
 
 
 def integrate(ctx: FPContext, bodies: BodyStore, dt: float) -> None:
@@ -46,9 +48,10 @@ def integrate(ctx: FPContext, bodies: BodyStore, dt: float) -> None:
     """
     n = bodies.count
     if n:
+        kern = ctx.kernel()
         awake = ~bodies.asleep[:n]
         step = math3d.scale(ctx, bodies.linvel[:n], np.float32(dt))
-        new_pos = ctx.add(bodies.pos[:n], step)
+        new_pos = kern.binop(np.add, kern.enter(bodies.pos[:n]), step)
         bodies.pos[:n] = np.where(awake[:, None], new_pos, bodies.pos[:n])
         new_quat = math3d.quat_integrate(ctx, bodies.quat[:n],
                                          bodies.angvel[:n], dt)

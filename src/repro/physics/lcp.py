@@ -167,24 +167,27 @@ def _contact_rows(ctx, bodies, contacts, dt, params):
     linvel = bodies.view("linvel")
     angvel = bodies.view("angvel")
 
+    kern = ctx.kernel()
     ia, ib = contacts.body_a, contacts.body_b
     n = contacts.normal
-    ra = ctx.sub(contacts.pos, pos[ia])
-    rb = ctx.sub(contacts.pos, pos[ib])
+    nr = kern.enter(n)
+    contact_pos = kern.enter(contacts.pos)
+    ra = kern.binop(np.subtract, contact_pos, kern.enter(pos[ia]))
+    rb = kern.binop(np.subtract, contact_pos, kern.enter(pos[ib]))
 
     t1, t2 = _orthonormal_tangents(n)
 
     # Negations are sign-bit flips (MIPS neg.s), not FPU multiplies, so
     # they intentionally bypass the context.
-    jla_n, jaa_n = -n, -math3d.cross(ctx, ra, n)
-    jlb_n, jab_n = n, math3d.cross(ctx, rb, n)
+    jla_n, jaa_n = -n, -math3d.cross_r(kern, ra, nr)
+    jlb_n, jab_n = n, math3d.cross_r(kern, rb, nr)
 
     # Pre-solve relative normal velocity for restitution.
     rel_n = (
-        math3d.dot(ctx, jla_n, linvel[ia])
-        + math3d.dot(ctx, jaa_n, angvel[ia])
-        + math3d.dot(ctx, jlb_n, linvel[ib])
-        + math3d.dot(ctx, jab_n, angvel[ib])
+        math3d.dot_r(kern, -nr, kern.enter(linvel[ia]))
+        + math3d.dot_r(kern, jaa_n, kern.enter(angvel[ia]))
+        + math3d.dot_r(kern, nr, kern.enter(linvel[ib]))
+        + math3d.dot_r(kern, jab_n, kern.enter(angvel[ib]))
     ).astype(np.float32)
 
     bias = params.beta / dt * np.maximum(contacts.depth - params.slop, 0.0)
@@ -195,7 +198,9 @@ def _contact_rows(ctx, bodies, contacts, dt, params):
     rhs_n = (-np.maximum(bias, bounce)).astype(np.float32)
 
     def _friction_block(t):
-        return (-t, -math3d.cross(ctx, ra, t), t, math3d.cross(ctx, rb, t))
+        tr = kern.enter(t)
+        return (-t, -math3d.cross_r(kern, ra, tr), t,
+                math3d.cross_r(kern, rb, tr))
 
     jla_1, jaa_1, jlb_1, jab_1 = _friction_block(t1)
     jla_2, jaa_2, jlb_2, jab_2 = _friction_block(t2)
@@ -243,11 +248,12 @@ def _joint_rows(ctx, bodies, joints, dt, params):
     la = np.concatenate([pk["ball_local_a"], pk["hinge_local_a"]])
     lb = np.concatenate([pk["ball_local_b"], pk["hinge_local_b"]])
 
+    kern = ctx.kernel()
     ra = math3d.matvec(ctx, rot[ja], la)
     rb = math3d.matvec(ctx, rot[jb], lb)
-    wa = ctx.add(pos[ja], ra)
-    wb = ctx.add(pos[jb], rb)
-    error = ctx.sub(wb, wa)  # (J, 3), want -> 0
+    wa = kern.binop(np.add, kern.enter(pos[ja]), ra)
+    wb = kern.binop(np.add, kern.enter(pos[jb]), rb)
+    error = kern.binop(np.subtract, wb, wa)  # (J, 3), want -> 0
 
     eye = np.eye(3, dtype=np.float32)
     scale = np.float32(params.beta / dt)
@@ -323,12 +329,13 @@ def _joint_rows(ctx, bodies, joints, dt, params):
     }
 
 
-def _tree_sum(ctx, arr: np.ndarray) -> np.ndarray:
-    """Sum an (R, W) array over axis 1 with reduced pairwise adds."""
+def _tree_sum(kern, arr: np.ndarray) -> np.ndarray:
+    """Sum an (R, W) array of kernel results over axis 1 with reduced
+    pairwise adds."""
     while arr.shape[1] > 1:
         width = arr.shape[1]
         half = width // 2
-        summed = ctx.add(arr[:, :half], arr[:, half: 2 * half])
+        summed = kern.binop(np.add, arr[:, :half], arr[:, half: 2 * half])
         if width % 2:
             summed = np.concatenate([summed, arr[:, -1:]], axis=1)
         arr = summed
@@ -345,12 +352,16 @@ def _finalize(ctx, bodies, rows: ConstraintRows, params) -> None:
         [rows.jla, rows.jaa, rows.jlb, rows.jab], axis=1
     ).astype(np.float32)
 
-    im_a = invmass[rows.ia].astype(np.float32)
-    im_b = invmass[rows.ib].astype(np.float32)
-    lin_a = math3d.scale(ctx, rows.jla, im_a)
-    ang_a = math3d.matvec(ctx, inv_inertia[rows.ia], rows.jaa)
-    lin_b = math3d.scale(ctx, rows.jlb, im_b)
-    ang_b = math3d.matvec(ctx, inv_inertia[rows.ib], rows.jab)
+    kern = ctx.kernel()
+    jac = kern.enter(rows.jacobian)
+    im_a = kern.enter(invmass[rows.ia])
+    im_b = kern.enter(invmass[rows.ib])
+    lin_a = math3d.scale_r(kern, jac[:, 0:3], im_a)
+    ang_a = math3d.matvec_r(kern, kern.enter(inv_inertia[rows.ia]),
+                            jac[:, 3:6])
+    lin_b = math3d.scale_r(kern, jac[:, 6:9], im_b)
+    ang_b = math3d.matvec_r(kern, kern.enter(inv_inertia[rows.ib]),
+                            jac[:, 9:12])
     rows.inv_mass_jt = np.concatenate(
         [lin_a, ang_a, lin_b, ang_b], axis=1
     ).astype(np.float32)
@@ -366,13 +377,15 @@ def _finalize(ctx, bodies, rows: ConstraintRows, params) -> None:
         np.add.at(degree, rows.ib, 1.0)
         degree = np.maximum(degree, 1.0)
 
-    d_a = _tree_sum(ctx, ctx.mul(rows.jacobian[:, :6],
-                                 rows.inv_mass_jt[:, :6]))
-    d_b = _tree_sum(ctx, ctx.mul(rows.jacobian[:, 6:],
-                                 rows.inv_mass_jt[:, 6:]))
-    d = ctx.add(ctx.mul(d_a, degree[rows.ia]), ctx.mul(d_b, degree[rows.ib]))
-    d = ctx.add(d, np.float32(params.cfm))
-    rows.inv_d = ctx.div(np.float32(1.0), d)
+    d_a = _tree_sum(kern, kern.binop(np.multiply, jac[:, :6],
+                                     rows.inv_mass_jt[:, :6]))
+    d_b = _tree_sum(kern, kern.binop(np.multiply, jac[:, 6:],
+                                     rows.inv_mass_jt[:, 6:]))
+    d = kern.binop(np.add,
+                   kern.binop(np.multiply, d_a, kern.enter(degree[rows.ia])),
+                   kern.binop(np.multiply, d_b, kern.enter(degree[rows.ib])))
+    d = kern.binop(np.add, d, kern.enter(np.float32(params.cfm)))
+    rows.inv_d = kern.div(np.float32(1.0), d)
     rows.lam = np.zeros(len(rows), dtype=np.float32)
 
 

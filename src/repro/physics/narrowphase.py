@@ -159,17 +159,23 @@ def _sphere_sphere(ctx, acc, geoms, bucket, pos) -> None:
     ib = np.array([geoms[j].body for _, j in bucket])
     ra = np.array([geoms[i].params[0] for i, _ in bucket], dtype=np.float32)
     rb = np.array([geoms[j].params[0] for _, j in bucket], dtype=np.float32)
-    ca, cb = pos[ia], pos[ib]
-    delta = ctx.sub(cb, ca)
-    unit, dist = math3d.normalize(ctx, delta)
-    depth = ctx.sub(ctx.add(ra, rb), dist)
+    kern = ctx.kernel()
+    ca = kern.enter(pos[ia])
+    radius_a = kern.enter(ra)
+    delta = kern.binop(np.subtract, kern.enter(pos[ib]), ca)
+    unit, dist = math3d.normalize_r(kern, delta)
+    depth = kern.binop(np.subtract,
+                       kern.binop(np.add, radius_a, kern.enter(rb)),
+                       kern.enter(dist))
     hit = (depth > 0) & (dist > 1e-9)
     if not hit.any():
         return
     # Contact sits on the midpoint of the overlap band.
-    half = np.float32(0.5)
-    offset = ctx.sub(ra, ctx.mul(half, depth))
-    point = ctx.add(ca, math3d.scale(ctx, unit, offset))
+    half = np.float32(0.5)  # exact at every precision
+    offset = kern.binop(np.subtract, radius_a,
+                        kern.binop(np.multiply, half, depth))
+    point = kern.binop(np.add, ca,
+                       math3d.scale_r(kern, kern.enter(unit), offset))
     for k in np.nonzero(hit)[0]:
         i, j = bucket[k]
         acc.emit(ia[k], ib[k], point[k], unit[k], depth[k],
@@ -188,13 +194,17 @@ def _sphere_plane(ctx, acc, geoms, bucket, pos, world) -> None:
         np.float32)
     offsets = np.array([geoms[i].offset for i, _ in bucket],
                        dtype=np.float32)
-    centers = pos[ib]
-    height = ctx.sub(math3d.dot(ctx, normals, centers), offsets)
-    depth = ctx.sub(radius, height)
+    kern = ctx.kernel()
+    normals_r = kern.enter(normals)
+    centers = kern.enter(pos[ib])
+    height = kern.binop(np.subtract, math3d.dot_r(kern, normals_r, centers),
+                        kern.enter(offsets))
+    depth = kern.binop(np.subtract, kern.enter(radius), height)
     hit = depth > 0
     if not hit.any():
         return
-    point = ctx.sub(centers, math3d.scale(ctx, normals, height))
+    point = kern.binop(np.subtract, centers,
+                       math3d.scale_r(kern, normals_r, height))
     for k in np.nonzero(hit)[0]:
         i, j = bucket[k]
         # Normal must point from the plane (body_a = world) to the sphere.
@@ -220,12 +230,18 @@ def _box_plane(ctx, acc, geoms, bucket, pos, rot, world) -> None:
         np.float32)
     offsets = np.array([geoms[j].offset for _, j in bucket],
                        dtype=np.float32)
+    kern = ctx.kernel()
     ctx.memo_items = np.arange(len(bucket))
-    local = ctx.mul(_CORNER_SIGNS[None, :, :], half[:, None, :])  # (P,8,3)
-    rotated = math3d.matvec(ctx, rot[body][:, None, :, :], local)
-    corners = ctx.add(pos[body][:, None, :], rotated)
-    height = ctx.sub(math3d.dot(ctx, normals[:, None, :], corners),
-                     offsets[:, None])
+    # The corner signs are exact at every precision.
+    local = kern.binop(np.multiply, _CORNER_SIGNS[None, :, :],
+                       kern.enter(half[:, None, :]))  # (P,8,3)
+    rotated = math3d.matvec_r(kern, kern.enter(rot[body][:, None, :, :]),
+                              local)
+    corners = kern.binop(np.add, kern.enter(pos[body][:, None, :]), rotated)
+    height = kern.binop(
+        np.subtract,
+        math3d.dot_r(kern, kern.enter(normals[:, None, :]), corners),
+        kern.enter(offsets[:, None]))
     depth = -height
     hit = depth > 0
     for p in np.nonzero(hit.any(axis=1))[0]:
@@ -241,41 +257,44 @@ def _box_plane(ctx, acc, geoms, bucket, pos, rot, world) -> None:
 # Sphere / box
 # ----------------------------------------------------------------------
 def _sphere_box(ctx, acc, sphere: Geom, box: Geom, pos, rot) -> None:
+    kern = ctx.kernel()
     radius = float(sphere.params[0])
-    center = pos[sphere.body]
-    box_pos = pos[box.body]
-    box_rot = rot[box.body]
-    rel = ctx.sub(center, box_pos)
+    box_pos = kern.enter(pos[box.body])
+    box_rot = kern.enter(rot[box.body])
+    rel = kern.binop(np.subtract, kern.enter(pos[sphere.body]), box_pos)
     # Into the box frame: local = R^T rel  (columns of R are box axes).
-    local = math3d.matvec(ctx, box_rot.T[None, :, :], rel[None, :])[0]
+    local = math3d.matvec_r(kern, box_rot.T[None, :, :], rel[None, :])[0]
     half = box.params
     clamped = np.clip(local, -half, half)
     inside = np.all(np.abs(local) < half)
     if inside:
         # Push out along the axis of least penetration.
-        margin = ctx.sub(half, np.abs(local))
+        margin = kern.binop(np.subtract, kern.enter(half), np.abs(local))
         axis = int(np.argmin(margin))
         local_n = np.zeros(3, dtype=np.float32)
         local_n[axis] = np.sign(local[axis]) or 1.0
         depth = float(margin[axis]) + radius
         surface_local = clamped.copy()
         surface_local[axis] = local_n[axis] * half[axis]
-        world_n = math3d.matvec(ctx, box_rot[None, :, :],
-                                local_n[None, :])[0]
-        point = ctx.add(box_pos,
-                        math3d.matvec(ctx, box_rot[None, :, :],
-                                      surface_local[None, :])[0])
+        world_n = math3d.matvec_r(kern, box_rot[None, :, :],
+                                  kern.enter(local_n[None, :]))[0]
+        point = kern.binop(
+            np.add, box_pos,
+            math3d.matvec_r(kern, box_rot[None, :, :],
+                            kern.enter(surface_local[None, :]))[0])
         acc.emit(box.body, sphere.body, point, world_n, depth, box, sphere)
         return
-    delta = ctx.sub(local, clamped)
-    dist = float(math3d.norm(ctx, delta[None, :])[0])
+    delta = kern.binop(np.subtract, local, kern.enter(clamped))
+    dist = float(math3d.norm_r(kern, delta[None, :])[0])
     depth = radius - dist
     if depth <= 0 or dist < 1e-9:
         return
-    local_n = ctx.div(delta, np.float32(dist))
-    world_n = math3d.matvec(ctx, box_rot[None, :, :], local_n[None, :])[0]
-    point = ctx.add(box_pos, math3d.matvec(ctx, box_rot[None, :, :],
-                                           clamped[None, :])[0])
+    local_n = kern.div(delta, np.float32(dist))
+    world_n = math3d.matvec_r(kern, box_rot[None, :, :],
+                              kern.enter(local_n[None, :]))[0]
+    point = kern.binop(np.add, box_pos,
+                       math3d.matvec_r(kern, box_rot[None, :, :],
+                                       kern.enter(clamped[None, :]))[0])
     acc.emit(box.body, sphere.body, point, world_n, depth, box, sphere)
 
 
@@ -304,10 +323,12 @@ def _box_box(ctx, acc, geoms, bucket, pos, rot) -> None:
     ra_t = np.ascontiguousarray(ra.transpose(0, 2, 1))
     rb_t = np.ascontiguousarray(rb.transpose(0, 2, 1))
 
+    kern = ctx.kernel()
+    ra_tr, rb_tr = kern.enter(ra_t), kern.enter(rb_t)
     ctx.memo_items = np.arange(n_pairs)
-    delta = ctx.sub(pb, pa)  # (P, 3)
-    crosses = math3d.cross(ctx, np.repeat(ra_t, 3, axis=1),
-                           np.tile(rb_t, (1, 3, 1)))  # (P, 9, 3)
+    delta = kern.binop(np.subtract, kern.enter(pb), kern.enter(pa))  # (P, 3)
+    crosses = math3d.cross_r(kern, np.repeat(ra_tr, 3, axis=1),
+                             np.tile(rb_tr, (1, 3, 1)))  # (P, 9, 3)
     lengths = np.linalg.norm(crosses.astype(np.float64), axis=2)
     good = lengths > 1e-6
     safe = np.where(good, lengths, 1.0)
@@ -321,18 +342,19 @@ def _box_box(ctx, acc, geoms, bucket, pos, rot) -> None:
     valid = np.concatenate(
         [np.ones((n_pairs, 6), dtype=bool), good], axis=1)
     owner = np.nonzero(valid)[0]
-    flat = axes[valid]  # (V, 3)
+    flat = kern.enter(axes[valid])  # (V, 3)
     ctx.memo_items = owner
-    on_a = np.abs(math3d.dot(ctx, flat[:, None, :], ra_t[owner]))
-    on_b = np.abs(math3d.dot(ctx, flat[:, None, :], rb_t[owner]))
-    proj_a = math3d.dot(ctx, on_a, ha[owner])
-    proj_b = math3d.dot(ctx, on_b, hb[owner])
-    flat_separation = math3d.dot(ctx, flat, delta[owner])
+    on_a = np.abs(math3d.dot_r(kern, flat[:, None, :], ra_tr[owner]))
+    on_b = np.abs(math3d.dot_r(kern, flat[:, None, :], rb_tr[owner]))
+    proj_a = math3d.dot_r(kern, on_a, kern.enter(ha[owner]))
+    proj_b = math3d.dot_r(kern, on_b, kern.enter(hb[owner]))
+    flat_separation = math3d.dot_r(kern, flat, delta[owner])
     separation = np.zeros((n_pairs, 15), dtype=np.float32)
     separation[valid] = flat_separation
     overlap = np.full((n_pairs, 15), np.inf, dtype=np.float32)
-    overlap[valid] = ctx.sub(ctx.add(proj_a, proj_b),
-                             np.abs(flat_separation))
+    overlap[valid] = kern.binop(np.subtract,
+                                kern.binop(np.add, proj_a, proj_b),
+                                np.abs(flat_separation))
 
     separated = np.any(overlap <= 0, axis=1)
     best_face = np.argmin(overlap[:, :6], axis=1)
@@ -450,14 +472,17 @@ def _clip_incident_faces(ctx, faces, pos, rot):
         face_d[p] = float(np.dot(ref_pos, normal)) + float(
             ref_half[ref_axis])
 
+    kern = ctx.kernel()
     ctx.memo_items = pair
-    verts = ctx.add(pos[inc_body][:, None, :],
-                    math3d.matvec(ctx, rot[inc_body][:, None, :, :],
-                                  corners)).reshape(-1, 3)
+    verts = kern.binop(
+        np.add, kern.enter(pos[inc_body][:, None, :]),
+        math3d.matvec_r(kern, kern.enter(rot[inc_body][:, None, :, :]),
+                        kern.enter(corners))).reshape(-1, 3)
+    plane_n = kern.enter(plane_n)
     owner = np.repeat(np.arange(n), 4)
     for plane in range(4):
         ctx.memo_items = pair[owner]
-        dist = (math3d.dot(ctx, plane_n[plane][owner], verts)
+        dist = (math3d.dot_r(kern, plane_n[plane][owner], verts)
                 - plane_d[plane].astype(np.float32)[owner])
         length = np.bincount(owner, minlength=n)
         start = np.cumsum(length) - length
@@ -474,8 +499,10 @@ def _clip_incident_faces(ctx, faces, pos, rot):
             cur = np.nonzero(crossing)[0]
             t = (d0[cur] / (d0[cur] - d1[cur])).astype(np.float32)
         ctx.memo_items = pair[owner[cur]]
-        edge = ctx.sub(verts[nxt[cur]], verts[cur])
-        cut = ctx.add(verts[cur], ctx.mul(edge, t[:, None]))
+        edge = kern.binop(np.subtract, verts[nxt[cur]], verts[cur])
+        cut = kern.binop(np.add, verts[cur],
+                         kern.binop(np.multiply, edge,
+                                    kern.enter(t[:, None])))
         # Each vertex emits itself if inside, then its edge's crossing.
         count = inside.astype(np.int64) + crossing
         first = np.cumsum(count) - count
@@ -486,7 +513,7 @@ def _clip_incident_faces(ctx, faces, pos, rot):
         owner = np.repeat(owner, count)
 
     ctx.memo_items = pair[owner]
-    dist = (math3d.dot(ctx, face_n[owner], verts)
+    dist = (math3d.dot_r(kern, kern.enter(face_n[owner]), verts)
             - face_d.astype(np.float32)[owner])
     below = dist < 0
     points = verts[below]
@@ -513,12 +540,15 @@ def _edge_midpoints(ctx, edges, pos, rot) -> np.ndarray:
         + [_support_local(rot[b.body], b.params, -np.asarray(normal))
            for _, b, normal, _ in edges])
     pair = np.array([edge[3] for edge in edges], dtype=np.int64)
+    kern = ctx.kernel()
     ctx.memo_items = np.concatenate([pair, pair])
-    support = ctx.add(pos[body], math3d.matvec(ctx, rot[body], local))
+    support = kern.binop(np.add, kern.enter(pos[body]),
+                         math3d.matvec(ctx, rot[body], local))
     count = len(edges)
     ctx.memo_items = pair
-    return ctx.mul(ctx.add(support[:count], support[count:]),
-                   np.float32(0.5))
+    return kern.binop(np.multiply,
+                      kern.binop(np.add, support[:count], support[count:]),
+                      np.float32(0.5))  # exact at every precision
 
 
 def _support_local(rotm, half, direction) -> np.ndarray:
@@ -584,32 +614,35 @@ def _closest_between_segments(p0, p1, q0, q1):
 def _emit_sphere_pair(ctx, acc, body_a, body_b, center_a, radius_a,
                       center_b, radius_b, geom_a, geom_b):
     """Contact between two virtual spheres (shared capsule epilogue)."""
-    ca = np.asarray(center_a, dtype=np.float32)
-    cb = np.asarray(center_b, dtype=np.float32)
-    delta = ctx.sub(cb[None, :], ca[None, :])
-    unit, dist = math3d.normalize(ctx, delta)
+    kern = ctx.kernel()
+    ca = kern.enter(np.asarray(center_a, dtype=np.float32)[None, :])
+    cb = kern.enter(np.asarray(center_b, dtype=np.float32)[None, :])
+    delta = kern.binop(np.subtract, cb, ca)
+    unit, dist = math3d.normalize_r(kern, delta)
     depth = float(radius_a + radius_b - dist[0])
     if depth <= 0 or dist[0] < 1e-9:
         return
-    offset = np.float32(radius_a - 0.5 * depth)
-    point = ctx.add(ca[None, :], math3d.scale(ctx, unit, offset))
+    offset = kern.enter(np.float32(radius_a - 0.5 * depth))
+    point = kern.binop(np.add, ca,
+                       math3d.scale_r(kern, kern.enter(unit), offset))
     acc.emit(body_a, body_b, point[0], unit[0], depth, geom_a, geom_b)
 
 
 def _capsule_plane(ctx, acc, capsule: Geom, plane: Geom, pos, rot,
                    world) -> None:
+    kern = ctx.kernel()
     radius = float(capsule.params[0])
     n = plane.params.astype(np.float32)
+    nr = kern.enter(n[None, :])
     p0, p1 = _capsule_segment(capsule, pos, rot)
     for endpoint in (p0, p1):
-        e = endpoint.astype(np.float32)
-        height = float(
-            math3d.dot(ctx, n[None, :], e[None, :])[0]) - plane.offset
+        e = kern.enter(endpoint.astype(np.float32)[None, :])
+        height = float(math3d.dot_r(kern, nr, e)[0]) - plane.offset
         depth = radius - height
         if depth > 0:
-            foot = ctx.sub(e[None, :],
-                           math3d.scale(ctx, n[None, :],
-                                        np.float32(height)))
+            foot = kern.binop(
+                np.subtract, e,
+                math3d.scale_r(kern, nr, kern.enter(np.float32(height))))
             acc.emit(world, capsule.body, foot[0], n, depth, plane,
                      capsule)
 
@@ -642,28 +675,31 @@ def _capsule_box(ctx, acc, capsule: Geom, box: Geom, pos, rot) -> None:
     bound the error by an eighth of the segment length.
     """
     p0, p1 = _capsule_segment(capsule, pos, rot)
+    kern = ctx.kernel()
     radius = float(capsule.params[0])
-    box_pos = pos[box.body]
-    box_rot = rot[box.body]
+    box_pos = kern.enter(pos[box.body])
+    box_rot = kern.enter(rot[box.body])
     half = box.params
     best = None
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         sample = (p0 + (p1 - p0) * t).astype(np.float32)
-        rel = ctx.sub(sample, box_pos)
-        local = math3d.matvec(ctx, box_rot.T[None, :, :], rel[None, :])[0]
+        rel = kern.binop(np.subtract, kern.enter(sample), box_pos)
+        local = math3d.matvec_r(kern, box_rot.T[None, :, :],
+                                rel[None, :])[0]
         clamped = np.clip(local, -half, half)
-        delta = ctx.sub(local, clamped)
-        dist = float(math3d.norm(ctx, delta[None, :])[0])
+        delta = kern.binop(np.subtract, local, kern.enter(clamped))
+        dist = float(math3d.norm_r(kern, delta[None, :])[0])
         if dist < 1e-9:
             continue  # sample center inside the box; neighbours cover it
         depth = radius - dist
         if depth > 0 and (best is None or depth > best[0]):
-            local_n = ctx.div(delta, np.float32(dist))
-            world_n = math3d.matvec(ctx, box_rot[None, :, :],
-                                    local_n[None, :])[0]
-            point = ctx.add(box_pos,
-                            math3d.matvec(ctx, box_rot[None, :, :],
-                                          clamped[None, :])[0])
+            local_n = kern.div(delta, np.float32(dist))
+            world_n = math3d.matvec_r(kern, box_rot[None, :, :],
+                                      kern.enter(local_n[None, :]))[0]
+            point = kern.binop(
+                np.add, box_pos,
+                math3d.matvec_r(kern, box_rot[None, :, :],
+                                kern.enter(clamped[None, :]))[0])
             best = (depth, point, world_n)
     if best is not None:
         depth, point, world_n = best

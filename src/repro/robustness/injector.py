@@ -104,7 +104,18 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def corrupt(self, phase: str, op: str, result: np.ndarray,
                 precision: int) -> np.ndarray:
-        """Possibly corrupt an op result; called by the FP context."""
+        """Possibly corrupt an op result; called by the FP context.
+
+        A bit flip hits a mantissa bit the register keeps, and NaN and
+        Inf have no dropped bits either, so at precisions 1-23 a
+        corrupted result is still a fixed point of the rounding: an
+        engine pass that chains it into the next op without re-entering
+        it computes what rounding it again would.  At precision 0 the
+        register keeps no mantissa bit and the flip lands on bit 22,
+        which a chained op carries on unrounded (as the LCP solve's
+        chained ops always have).  No test or campaign injects at
+        precision 0.
+        """
         rate = self.rates.get(phase, 0.0)
         if not self.enabled or rate <= 0.0:
             return result

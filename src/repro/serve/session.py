@@ -131,13 +131,22 @@ class SessionConfig:
         if not isinstance(scenario, str):
             raise ServiceError("bad_request",
                                "'create' needs a string 'scenario'")
+        # JSON booleans are ints to Python (isinstance(True, int)), and
+        # float()/int() take them: refuse them where a number is due.
         precision = frame.get("precision") or {}
         if not isinstance(precision, dict) or not all(
                 isinstance(k, str) and isinstance(v, int)
+                and not isinstance(v, bool)
                 for k, v in precision.items()):
             raise ServiceError(
                 "bad_request",
                 "'precision' must map phase names to integer bits")
+        for name in ("scale", "seed", "step_budget", "step_deadline",
+                     "inject_rate", "chaos_slow_every", "chaos_slow_s"):
+            if isinstance(frame.get(name), bool):
+                raise ServiceError(
+                    "bad_request", f"'{name}' must be a number, not a "
+                                   "boolean")
         for phase, bits in precision.items():
             if not 0 <= bits <= FULL_PRECISION:
                 raise ServiceError(

@@ -195,6 +195,50 @@ class TestProperties:
         assert np.array_equal(exact.view(np.uint32), fast.view(np.uint32))
 
 
+class TestJammingGuardWidths:
+    """The op kernels' in-place jamming equals :func:`reduce_array` at
+    every guard width the ablation sweeps, not only the paper's 3."""
+
+    @staticmethod
+    def _words(precision: int, guard_bits: int) -> np.ndarray:
+        """Normal words with every combination of the kept LSB, the
+        guard field and the sticky bits below it (none, lowest, highest,
+        all), over a few signs, exponents and upper mantissas; then
+        random normal words."""
+        drop = MANTISSA_BITS - precision
+        width = min(guard_bits, drop)
+        sticky_width = drop - width
+        sticky = {0, (1 << sticky_width) - 1}
+        if sticky_width:
+            sticky |= {1, 1 << (sticky_width - 1)}
+        low = np.array([(lsb << drop) | (guards << sticky_width) | rest
+                        for lsb in (0, 1)
+                        for guards in range(1 << width)
+                        for rest in sorted(sticky)], dtype=np.uint32)
+        bases = np.array([0x3F800000, 0xBF800000, 0x00800000, 0x7F000000,
+                          0x42FFFFFF & ~((2 << drop) - 1) & 0xFFFFFFFF],
+                         dtype=np.uint32)
+        patterned = (bases[:, None] | low[None, :]).reshape(-1)
+        rng = np.random.default_rng(precision * 8 + guard_bits)
+        random = rng.integers(0, 2 ** 32, 4000, dtype=np.uint64).astype(
+            np.uint32)
+        exponent = (random >> np.uint32(23)) & np.uint32(0xFF)
+        random = random[(exponent != 0) & (exponent != 0xFF)]
+        return np.concatenate([patterned, random])
+
+    @pytest.mark.parametrize("guard_bits", [0, 1, 2, 3, 4, 6])
+    def test_kernel_enter_matches_reduce_array(self, guard_bits):
+        for precision in range(MANTISSA_BITS):
+            values = self._words(precision, guard_bits).view(np.float32)
+            exact = reduce_array(values, precision, RoundingMode.JAMMING,
+                                 guard_bits=guard_bits)
+            fast = ReducedKernel(precision, "jam",
+                                 guard_bits=guard_bits).enter(values)
+            mismatch = exact.view(np.uint32) != fast.view(np.uint32)
+            assert not mismatch.any(), (
+                precision, values.view(np.uint32)[mismatch][:4])
+
+
 class TestBiasDirection:
     """The paper picks jamming for its zero-mean error (Section 4.1.1)."""
 

@@ -140,7 +140,12 @@ class TestCreateValidation:
     @pytest.mark.parametrize("field,value", [
         ("step_deadline", 0), ("step_budget", 0), ("step_budget", -5),
         ("chaos_slow_s", -1), ("precision", {"narrow": 9, "lcp": -3}),
-        ("precision", {"lcp": 24}), ("precision", {"lcp": 99})])
+        ("precision", {"lcp": 24}), ("precision", {"lcp": 99}),
+        # JSON booleans are not numbers
+        ("precision", {"lcp": False, "narrow": True}), ("seed", True),
+        ("scale", True), ("step_budget", True), ("step_deadline", True),
+        ("inject_rate", True), ("chaos_slow_every", True),
+        ("chaos_slow_s", True)])
     def test_bad_request_names_the_field(self, field, value):
         service = SimulationService(ServiceConfig(allow_chaos=True))
         frame = {"op": "create", "scenario": "continuous", "scale": 0.4,

@@ -66,3 +66,44 @@ class TestFalsyDefaults:
             "d = registry if registry is not None else MetricsRegistry()\n")
         assert falsy_defaults(tree, {"MetricsRegistry", "IncidentLog"}) \
             == [(1, "MetricsRegistry"), (2, "IncidentLog")]
+
+
+def context_op_calls(tree) -> list:
+    """``(line, op)`` of every ``add``/``sub``/``mul`` call on a receiver
+    named ``ctx`` (``ctx.add(...)``, ``world.ctx.mul(...)``)."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("add", "sub", "mul")):
+            continue
+        receiver = node.func.value
+        name = (receiver.id if isinstance(receiver, ast.Name)
+                else receiver.attr if isinstance(receiver, ast.Attribute)
+                else None)
+        if name == "ctx":
+            found.append((node.lineno, node.func.attr))
+    return found
+
+
+class TestOneArithmeticIdiom:
+    def test_physics_chains_kernel_ops(self):
+        offenders = [f"{path.relative_to(SRC)}:{line}: ctx.{op}(...)"
+                     for path, tree in _modules()
+                     if path.relative_to(SRC).parts[0] == "physics"
+                     for line, op in context_op_calls(tree)]
+        assert offenders == [], (
+            "an engine pass takes kern = ctx.kernel(), enters each input "
+            "once and chains kern.binop; ctx.add/sub/mul round both "
+            "operands on every call:\n" + "\n".join(offenders))
+
+    def test_rule_sees_context_ops(self):
+        tree = ast.parse(
+            "a = ctx.add(x, y)\n"
+            "b = self.ctx.sub(x, y)\n"
+            "c = math3d.dot(ctx, ctx.mul(x, y), z)\n"
+            "d = kern.binop(np.add, x, y)\n"
+            "e = np.add(x, y)\n"
+            "f = seen.add(x)\n")
+        assert context_op_calls(tree) == [(1, "add"), (2, "sub"),
+                                          (3, "mul")]
